@@ -16,49 +16,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .simplex import project_to_simplex
 from .spectral import top_k_eigenpairs, weighted_moment_matrix
-from .types import (
-    OrthonormalBasis,
-    SimplexWeights,
-    UnitVectorSet,
-    basis_matrix,
-    unit_matrix,
-)
+from .types import OrthonormalBasis, SimplexWeights, UnitVectorSet, unit_matrix
 
 logger = logging.getLogger(__name__)
 
-DISTORTION_BASIS_TOL = 1e-8
-DEFAULT_DEGENERACY_TOL = 1e-8
+DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Knobs for run_projected_ascent.
-
-    ``step_size`` is either a positive float or "auto" for sqrt(2)/sqrt(nT).
-    ``seed`` is reserved for randomized tie-breaking in reporting; the
-    ascent itself is deterministic.
+    """Knobs for run_projected_ascent: the iteration count ``T`` and
+    ``step_size``, a positive finite float or "auto" for sqrt(2)/sqrt(nT).
     """
 
     T: int = 120
     step_size: float | str = "auto"
-    evaluate_average: bool = True
-    degeneracy_tolerance: float = DEFAULT_DEGENERACY_TOL
-    seed: int = 0
 
     def __post_init__(self):
         if self.T < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.T}")
         if self.step_size != "auto":
             try:
-                ok = float(self.step_size) > 0.0
+                ok = 0.0 < float(self.step_size) < math.inf
             except (TypeError, ValueError):
                 ok = False
             if not ok:
                 raise ValueError(
-                    f"step size must be 'auto' or a positive number, got {self.step_size!r}"
+                    "step size must be 'auto' or a positive finite number, "
+                    f"got {self.step_size!r}"
                 )
 
 
@@ -93,33 +81,47 @@ class EmbeddingResult:
     lambda_selected: SimplexWeights
     best_dual_value: float
     step_size: float
+    # The t = 0 (uniform-weight) iterate's distortion: bitwise the PCA baseline.
+    pca_distortion: DistortionReport
     average_record: IterationRecord | None = None
     fingerprint: str = ""
     degenerate_iterations: int = 0
+
+
+def _squared_projections(Xm, Vm):
+    """s_i = ||V'x_i||^2, the one X @ V product per iterate: phi = 1 - s, g = -s."""
+    return np.square(Xm @ Vm).sum(axis=1)
+
+
+def _distortion_report(s) -> DistortionReport:
+    phi = 1.0 - s
+    # phi is nonnegative in exact arithmetic; clear the roundoff dust.
+    np.clip(phi, 0.0, None, out=phi)
+    idx = int(np.argmax(phi))
+    return DistortionReport(phi=phi, epsilon=float(phi[idx]), argmax=idx)
+
+
+def _gradient(s):
+    g = -s
+    # ||V'x||^2 <= 1 for unit x; clip fp excess so the Lipschitz bound
+    # ||grad||_2 <= sqrt(n) holds literally.
+    np.clip(g, -1.0, 0.0, out=g)
+    return g
 
 
 def primal_distortion(X, V) -> DistortionReport:
     """Worst-case squared-length loss of projecting rows of X through V.
 
     phi_i = 1 - ||V'x_i||^2; epsilon is the max, argmax the first index
-    attaining it (0-based). V must have orthonormal columns.
+    attaining it (0-based). V must have orthonormal columns; a raw array is
+    checked by building an OrthonormalBasis from a copy of it.
     """
     Xm = unit_matrix(X)
-    Vm = basis_matrix(V)
-    if Vm.ndim != 2 or Vm.shape[0] != Xm.shape[1]:
-        raise ShapeError(
-            f"basis has shape {Vm.shape}, expected ({Xm.shape[1]}, k)"
-        )
-    gram_err = np.abs(Vm.T @ Vm - np.eye(Vm.shape[1])).max()
-    if gram_err > DISTORTION_BASIS_TOL:
-        raise ContractError(
-            f"basis columns are not orthonormal (max |V'V - I| = {gram_err:.3g})"
-        )
-    phi = 1.0 - np.square(Xm @ Vm).sum(axis=1)
-    # phi is nonnegative in exact arithmetic; clear the roundoff dust.
-    np.clip(phi, 0.0, None, out=phi)
-    idx = int(np.argmax(phi))
-    return DistortionReport(phi=phi, epsilon=float(phi[idx]), argmax=idx)
+    if not isinstance(V, OrthonormalBasis):
+        V = OrthonormalBasis(np.array(V, dtype=np.float64))
+    if V.d != Xm.shape[1]:
+        raise ShapeError(f"basis has shape {V.V.shape}, expected ({Xm.shape[1]}, k)")
+    return _distortion_report(_squared_projections(Xm, V.V))
 
 
 def dual_objective(X, w, k: int) -> float:
@@ -142,15 +144,7 @@ def dual_gradient(X, w, k: int) -> np.ndarray:
     in [-1, 0].
     """
     state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
-    return _gradient_from_basis(unit_matrix(X), state.basis.V)
-
-
-def _gradient_from_basis(Xm, Vm):
-    g = -np.square(Xm @ Vm).sum(axis=1)
-    # ||V'x||^2 <= 1 for unit x; clip fp excess so the Lipschitz bound
-    # ||grad||_2 <= sqrt(n) holds literally.
-    np.clip(g, -1.0, 0.0, out=g)
-    return g
+    return _gradient(_squared_projections(unit_matrix(X), state.basis.V))
 
 
 def default_step_size(n: int, T: int) -> float:
@@ -168,13 +162,13 @@ def default_step_size(n: int, T: int) -> float:
     return math.sqrt(2.0) / math.sqrt(float(n) * float(T))
 
 
-def _evaluate(Xm, lam, k, degeneracy_tol):
-    """Eigendecompose M(lam) and score the recovered basis."""
+def _evaluate(Xm, lam, k):
+    """Eigendecompose M(lam) and score its basis; the returned s feeds the next step."""
     state = top_k_eigenpairs(weighted_moment_matrix(Xm, lam), k)
-    report = primal_distortion(Xm, state.basis.V)
+    s = _squared_projections(Xm, state.basis.V)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
-    degenerate = state.spectral_gap < degeneracy_tol
-    return state, report, dual, degenerate
+    degenerate = state.spectral_gap < DEGENERACY_TOL
+    return state, s, _distortion_report(s), dual, degenerate
 
 
 def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> EmbeddingResult:
@@ -199,17 +193,17 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
         eta = float(cfg.step_size)
 
     lam = np.full(n, 1.0 / n)
-    state, report, dual, degen = _evaluate(Xm, lam, k, cfg.degeneracy_tolerance)
+    state, s, report, dual, degen = _evaluate(Xm, lam, k)
+    pca_report = report
     best_eps, best_lam, best_basis, best_report = report.epsilon, lam, state.basis, report
     best_dual = dual
     trace = [IterationRecord(0, dual, report.epsilon, best_eps, degen)]
 
     lam_sum = np.zeros(n)
     for t in range(1, T + 1):
-        grad = _gradient_from_basis(Xm, state.basis.V)
-        lam = project_to_simplex(lam + eta * grad).lam
+        lam = project_to_simplex(lam + eta * _gradient(s)).lam
         lam_sum += lam
-        state, report, dual, degen = _evaluate(Xm, lam, k, cfg.degeneracy_tolerance)
+        state, s, report, dual, degen = _evaluate(Xm, lam, k)
         if report.epsilon < best_eps:
             best_eps, best_lam, best_basis, best_report = (
                 report.epsilon,
@@ -223,11 +217,9 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     average_record = None
     selected = "best"
     sel_lam, sel_basis, sel_report = best_lam, best_basis, best_report
-    if T >= 1 and cfg.evaluate_average:
+    if T >= 1:
         lam_avg = lam_sum / T
-        avg_state, avg_report, avg_dual, avg_degen = _evaluate(
-            Xm, lam_avg, k, cfg.degeneracy_tolerance
-        )
+        avg_state, _, avg_report, avg_dual, avg_degen = _evaluate(Xm, lam_avg, k)
         best_dual = max(best_dual, avg_dual)
         average_record = IterationRecord(
             T, avg_dual, avg_report.epsilon, min(best_eps, avg_report.epsilon), avg_degen
@@ -256,6 +248,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
         lambda_selected=SimplexWeights(sel_lam),
         best_dual_value=best_dual,
         step_size=eta,
+        pca_distortion=pca_report,
         average_record=average_record,
         fingerprint=X.fingerprint(),
         degenerate_iterations=n_degen,

@@ -52,8 +52,11 @@ def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
     """Singular values of X (descending), numerical rank and kappa.
 
     Computed from the eigenvalues of the d x d Gram matrix X'X rather than
-    an n x d SVD: n dwarfs d in pairwise mode.
+    an n x d SVD: n dwarfs d in pairwise mode. ``rank_tol`` must lie in
+    [0, 1): at 1 or above no singular value would count towards the rank.
     """
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank tolerance must be in [0, 1), got {rank_tol!r}")
     Xm = unit_matrix(X)
     gram = Xm.T @ Xm
     evals = np.linalg.eigvalsh((gram + gram.T) / 2.0)[::-1]

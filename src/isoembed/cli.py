@@ -3,9 +3,10 @@
 Loads a point matrix, builds the unit-vector set (pairwise differences or
 the rows themselves), runs the projected-ascent embedding plus any
 requested baselines, and writes a deterministic JSON report and optional
-CSV iteration trace. Re-running with identical flags and input bytes
-reproduces both files byte for byte; wall-clock timing therefore goes to
-stderr and the report's runtime_seconds field is null.
+CSV iteration trace. Re-running with identical flags and input bytes, on
+the same numpy/BLAS build and BLAS thread count, reproduces both files byte
+for byte; wall-clock timing therefore goes to stderr and the report's
+runtime_seconds field is null.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from .ascent import AscentConfig, primal_distortion, run_projected_ascent
-from .baselines import pca_basis, random_orthonormal_basis
+from .baselines import random_orthonormal_basis
 from .bounds import approximation_bound
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
@@ -160,14 +161,19 @@ def build_parser():
     p.add_argument(
         "--eta",
         default="auto",
-        help="step size: positive float, or 'auto' for sqrt(2)/sqrt(n*T)",
+        help="step size: positive finite float, or 'auto' for sqrt(2)/sqrt(n*T)",
     )
     p.add_argument(
         "--baselines",
         default="",
         help="comma-separated subset of {pca,random} to evaluate alongside",
     )
-    p.add_argument("--seed", type=int, default=42, help="seed for the random baseline")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=42,
+        help="seed for the random baseline and --max-pairs subsampling (default 42)",
+    )
     p.add_argument(
         "--dedup",
         action="store_true",
@@ -184,7 +190,9 @@ def build_parser():
     )
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p.add_argument("--trace", default=None, help="optional iteration-trace CSV path")
-    p.add_argument("--rank-tol", type=float, default=1e-10, help="relative rank tolerance")
+    p.add_argument(
+        "--rank-tol", type=float, default=1e-10, help="relative rank tolerance, in [0, 1)"
+    )
     return p
 
 
@@ -197,7 +205,7 @@ def _subsample_pairs(units: UnitVectorSet, max_pairs: int, seed: int) -> UnitVec
     return UnitVectorSet(units.X[keep])
 
 
-def _build_units(args, parser) -> UnitVectorSet:
+def _build_units(args) -> UnitVectorSet:
     points = load_points(args.input, skip_header=args.header)
     if args.mode == "pairwise":
         policy = "drop" if args.dedup else "error"
@@ -218,15 +226,14 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error(f"--k must be >= 1, got {args.k}")
-    if args.iters < 0:
-        parser.error(f"--iters must be >= 0, got {args.iters}")
-    if args.eta != "auto":
-        try:
-            eta_value = float(args.eta)
-        except ValueError:
-            parser.error(f"--eta must be 'auto' or a positive float, got {args.eta!r}")
-        if eta_value <= 0.0:
-            parser.error(f"--eta must be positive, got {args.eta}")
+    try:
+        cfg = AscentConfig(args.iters, args.eta if args.eta == "auto" else float(args.eta))
+    except ValueError as exc:
+        parser.error(f"bad --iters or --eta: {exc}")
+    if args.max_pairs < 0:
+        parser.error(f"--max-pairs must be >= 0, got {args.max_pairs}")
+    if not 0.0 <= args.rank_tol < 1.0:
+        parser.error(f"--rank-tol must be in [0, 1), got {args.rank_tol}")
     methods = [m for m in args.baselines.split(",") if m]
     for m in methods:
         if m not in ("pca", "random"):
@@ -234,19 +241,14 @@ def run_cli(argv=None) -> int:
 
     t_start = time.perf_counter()
     try:
-        units = _build_units(args, parser)
+        units = _build_units(args)
         if args.k > units.d:
             parser.error(f"--k {args.k} exceeds the data dimension {units.d}")
-        cfg = AscentConfig(
-            T=args.iters,
-            step_size="auto" if args.eta == "auto" else float(args.eta),
-            seed=args.seed,
-        )
         result = run_projected_ascent(units, args.k, cfg)
         bounds = approximation_bound(units, rank_tol=args.rank_tol)
         baselines = {}
         if "pca" in methods:
-            baselines["pca"] = primal_distortion(units, pca_basis(units, args.k))
+            baselines["pca"] = result.pca_distortion
         if "random" in methods:
             baselines["random"] = primal_distortion(
                 units, random_orthonormal_basis(units.d, args.k, args.seed)

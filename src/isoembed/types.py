@@ -16,13 +16,13 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 # Row norms may deviate from 1 by this much before construction refuses the
-# data outright; smaller deviations (above the per-instance tolerance) are
-# silently renormalized as parsing roundoff.
+# data outright; smaller deviations (above ROW_NORM_TOL) are silently
+# renormalized as parsing roundoff.
 RENORMALIZE_LIMIT = 1e-6
 
-DEFAULT_ROW_NORM_TOL = 1e-9
-DEFAULT_SIMPLEX_TOL = 1e-9
-DEFAULT_ORTHONORMAL_TOL = 1e-8
+ROW_NORM_TOL = 1e-9
+SIMPLEX_TOL = 1e-9
+ORTHONORMAL_TOL = 1e-8
 
 
 def _as_float_matrix(a, name):
@@ -77,13 +77,13 @@ class PointSet:
 class UnitVectorSet:
     """An n x d matrix whose rows are unit-length direction vectors.
 
-    Rows whose norm deviates from 1 by more than ``row_norm_tolerance`` but
-    at most ``RENORMALIZE_LIMIT`` are renormalized (benign roundoff);
-    larger deviations raise, since they indicate the wrong data was passed.
+    Rows whose norm deviates from 1 by more than ``ROW_NORM_TOL`` but at
+    most ``RENORMALIZE_LIMIT`` are renormalized (benign roundoff); larger
+    deviations raise, since they indicate the wrong data was passed.
     """
 
     X: np.ndarray
-    row_norm_tolerance: float = DEFAULT_ROW_NORM_TOL
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = _as_float_matrix(self.X, "X")
@@ -98,7 +98,7 @@ class UnitVectorSet:
                 f"row {i + 1} has norm {norms[i]:.6g}; rows must be unit length "
                 f"(deviation {worst:.3g} exceeds {RENORMALIZE_LIMIT:g})"
             )
-        if worst > self.row_norm_tolerance:
+        if worst > ROW_NORM_TOL:
             X = X / norms[:, None]
         object.__setattr__(self, "X", _freeze(X))
 
@@ -111,7 +111,11 @@ class UnitVectorSet:
         return self.X.shape[1]
 
     def fingerprint(self) -> str:
-        return matrix_fingerprint(self.X)
+        """matrix_fingerprint of the rows, hashed on first use only: the
+        frozen rows cannot change afterwards."""
+        if self._fingerprint is None:
+            object.__setattr__(self, "_fingerprint", matrix_fingerprint(self.X))
+        return self._fingerprint
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,6 @@ class SimplexWeights:
     """Nonnegative weights lambda summing to 1 (dual variables)."""
 
     lam: np.ndarray
-    feasibility_tolerance: float = DEFAULT_SIMPLEX_TOL
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=np.float64)
@@ -129,7 +132,7 @@ class SimplexWeights:
             raise ContractError("weights contain non-finite entries")
         if lam.min() < 0.0:
             raise ContractError(f"negative weight at index {int(np.argmin(lam)) + 1}")
-        if abs(lam.sum() - 1.0) > self.feasibility_tolerance:
+        if abs(lam.sum() - 1.0) > SIMPLEX_TOL:
             raise ContractError(f"weights sum to {lam.sum():.12g}, not 1")
         object.__setattr__(self, "lam", _freeze(lam))
 
@@ -147,7 +150,6 @@ class OrthonormalBasis:
     """A d x k matrix with orthonormal columns (the embedding map)."""
 
     V: np.ndarray
-    orthonormal_tolerance: float = field(default=DEFAULT_ORTHONORMAL_TOL, compare=False)
 
     def __post_init__(self):
         V = _as_float_matrix(self.V, "V")
@@ -156,7 +158,7 @@ class OrthonormalBasis:
                 f"cannot have {V.shape[1]} orthonormal columns in dimension {V.shape[0]}"
             )
         gram_err = np.abs(V.T @ V - np.eye(V.shape[1])).max()
-        if gram_err > self.orthonormal_tolerance:
+        if gram_err > ORTHONORMAL_TOL:
             raise ContractError(
                 f"columns are not orthonormal (max |V'V - I| = {gram_err:.3g})"
             )
@@ -179,8 +181,3 @@ def unit_matrix(X) -> np.ndarray:
 def weights_vector(w) -> np.ndarray:
     """The raw weight vector behind SimplexWeights (or array passthrough)."""
     return w.lam if isinstance(w, SimplexWeights) else np.asarray(w, dtype=np.float64)
-
-
-def basis_matrix(V) -> np.ndarray:
-    """The raw d x k array behind an OrthonormalBasis (or array passthrough)."""
-    return V.V if isinstance(V, OrthonormalBasis) else np.asarray(V, dtype=np.float64)

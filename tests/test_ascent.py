@@ -130,8 +130,9 @@ def test_default_step_size_rejects_zero_iterations():
 def test_ascent_config_validation():
     with pytest.raises(ValueError):
         ie.AscentConfig(T=-1)
-    with pytest.raises(ValueError):
-        ie.AscentConfig(step_size=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ie.AscentConfig(step_size=bad)
     ie.AscentConfig(T=0)  # evaluation-only runs are fine
 
 
@@ -218,23 +219,40 @@ def test_explicit_step_size_is_used():
     assert res.step_size == 0.125
 
 
+def test_first_step_follows_the_projected_gradient_rule():
+    # trace[1] must be the iterate lambda_1 = P(uniform + eta * grad g(uniform)),
+    # recomputed here through public functions only.
+    rng = np.random.default_rng(44)
+    X = unit_rows(rng, 25, 5)
+    k, eta = 2, 0.05
+    res = ie.run_projected_ascent(X, k, ie.AscentConfig(T=1, step_size=eta))
+    uniform = np.full(X.n, 1.0 / X.n)
+    lam1 = ie.project_to_simplex(uniform + eta * ie.dual_gradient(X, uniform, k))
+    basis = ie.top_k_eigenpairs(ie.weighted_moment_matrix(X, lam1), k).basis
+    assert res.trace[1].dual_value == ie.dual_objective(X, lam1, k)
+    assert res.trace[1].primal_epsilon == ie.primal_distortion(X, basis).epsilon
+
+
+def test_one_projection_product_per_evaluated_iterate(monkeypatch):
+    from isoembed import ascent
+
+    calls = []
+    real = ascent._squared_projections
+    monkeypatch.setattr(
+        ascent, "_squared_projections", lambda Xm, Vm: calls.append(1) or real(Xm, Vm)
+    )
+    rng = np.random.default_rng(45)
+    T = 7
+    ie.run_projected_ascent(unit_rows(rng, 20, 4), 2, ie.AscentConfig(T=T))
+    assert len(calls) == T + 2  # t = 0, T steps, the average iterate
+
+
 def test_k_out_of_range():
     X = ie.UnitVectorSet(np.eye(3))
     with pytest.raises(ValueError):
         ie.run_projected_ascent(X, 0, ie.AscentConfig(T=1))
     with pytest.raises(ValueError):
         ie.run_projected_ascent(X, 4, ie.AscentConfig(T=1))
-
-
-def test_average_evaluation_can_be_disabled():
-    rng = np.random.default_rng(43)
-    X = unit_rows(rng, 12, 4)
-    res = ie.run_projected_ascent(
-        X, 2, ie.AscentConfig(T=10, evaluate_average=False)
-    )
-    assert res.average_record is None
-    assert res.selected_iterate == "best"
-    assert len(res.trace) == 11
 
 
 def test_degenerate_spectrum_is_flagged_not_fatal():

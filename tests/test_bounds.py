@@ -30,6 +30,15 @@ def test_spectrum_sum_equals_n():
         assert abs(np.square(sigma).sum() - n) <= 1e-8 * n
 
 
+def test_rank_tolerance_must_lie_in_unit_interval():
+    for bad in (1.0, 2.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ie.singular_spectrum(np.eye(2), rank_tol=bad)
+        with pytest.raises(ValueError):
+            ie.approximation_bound(ie.UnitVectorSet(np.eye(2)), rank_tol=bad)
+    assert ie.singular_spectrum(np.eye(2), rank_tol=0.0)[1] == 2
+
+
 def test_bound_identity_rows():
     rep = ie.approximation_bound(ie.UnitVectorSet(np.eye(2)))
     assert rep.bound_sigma == pytest.approx(2.0)

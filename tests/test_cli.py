@@ -43,6 +43,8 @@ def test_happy_path_report_and_trace(tmp_path, small_input):
     assert report["d"] == 4 and report["k"] == 2 and report["iters"] == 15
     assert report["mode"] == "pairwise"
     assert report["epsilon_alg"] <= report["epsilon_pca"] + 1e-12
+    units = ie.pairwise_unit_differences(ie.load_points(small_input))
+    assert report["epsilon_pca"] == ie.primal_distortion(units, ie.pca_basis(units, 2)).epsilon
     assert 0.0 <= report["epsilon_random"] <= 1.0
     assert report["dual_best"] <= report["epsilon_alg"] + 1e-8
     assert report["runtime_seconds"] is None
@@ -66,9 +68,18 @@ def test_usage_errors_exit_2(small_input):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--input", str(small_input), "--k", "99"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["--input", str(small_input), "--k", "2", "--eta", "-1"])
-    assert exc.value.code == 2
+    for flag, value in (
+        ("--eta", "-1"),
+        ("--eta", "nan"),
+        ("--eta", "inf"),
+        ("--rank-tol", "1"),
+        ("--rank-tol", "-0.5"),
+        ("--rank-tol", "nan"),
+        ("--max-pairs", "-1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--input", str(small_input), "--k", "2", flag, value])
+        assert exc.value.code == 2, (flag, value)
 
 
 def test_data_errors_exit_1(tmp_path, capsys):
@@ -222,6 +233,28 @@ def test_explicit_eta_is_reported(tmp_path, small_input):
     )
     assert rc == 0
     assert json.loads(out.read_text())["eta"] == 0.01
+
+
+def test_run_hashes_and_builds_the_pca_solution_once(tmp_path, small_input, monkeypatch):
+    from isoembed import ascent, baselines, types
+
+    hashes = []
+    real_hash = types.matrix_fingerprint
+    monkeypatch.setattr(types, "matrix_fingerprint", lambda m: hashes.append(1) or real_hash(m))
+    # pca_basis builds M(uniform) through this name; the run must not call it
+    monkeypatch.setattr(baselines, "weighted_moment_matrix", None)
+    moments = []
+    real_moment = ascent.weighted_moment_matrix
+    monkeypatch.setattr(
+        ascent, "weighted_moment_matrix", lambda X, w: moments.append(1) or real_moment(X, w)
+    )
+    rc = run_cli(
+        ["--input", str(small_input), "--k", "2", "--iters", "6",
+         "--baselines", "pca,random", "--out", str(tmp_path / "r.json")]
+    )
+    assert rc == 0
+    assert len(hashes) == 1
+    assert len(moments) == 6 + 2  # t = 0, six steps, the average iterate
 
 
 def test_unwritable_out_path_exits_1(tmp_path, small_input, capsys):
