@@ -23,7 +23,7 @@ from .baselines import random_orthonormal_basis
 from .bounds import approximation_bound
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
-from .types import UnitVectorSet
+from .types import ROW_NORM_TOL, UnitVectorSet
 
 logger = logging.getLogger(__name__)
 
@@ -210,15 +210,12 @@ def _build_units(args) -> UnitVectorSet:
     if args.mode == "pairwise":
         policy = "drop" if args.dedup else "error"
         units = pairwise_unit_differences(points, dedup_policy=policy)
-        units = _subsample_pairs(units, args.max_pairs, args.seed)
-    else:
-        norms = np.linalg.norm(points.points, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
-            logger.warning("rows are not unit length; renormalizing")
-            units = normalize_rows(points.points)
-        else:
-            units = UnitVectorSet(points.points)
-    return units
+        return _subsample_pairs(units, args.max_pairs, args.seed)
+    norms = np.linalg.norm(points.points, axis=1)
+    if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
+        logger.warning("rows are not unit length; renormalizing")
+        return normalize_rows(points.points)
+    return UnitVectorSet(points.points)
 
 
 def run_cli(argv=None) -> int:

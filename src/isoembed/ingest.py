@@ -4,6 +4,7 @@ unit-difference construction that turns points into directions."""
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -13,50 +14,48 @@ from .types import PointSet, UnitVectorSet
 logger = logging.getLogger(__name__)
 
 
-def _parse_line(text, lineno, fmt):
-    if fmt == "csv" or (fmt == "auto" and "," in text):
-        cells = text.split(",")
-    else:
-        cells = text.split()
-    values = []
+def _parse_line(text, lineno):
+    cells = text.split(",") if "," in text else text.split()
+    try:
+        values = list(map(float, cells))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    # Error path only: name the first cell that is not a finite number.
     for cell in cells:
         cell = cell.strip()
         try:
             v = float(cell)
         except ValueError:
             raise LoadError(f"non-numeric cell {cell!r}", line=lineno) from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise LoadError(f"non-finite value {cell!r}", line=lineno)
-        values.append(v)
-    return values
 
 
-def load_points(path, fmt: str = "auto", skip_header: bool = False) -> PointSet:
-    """Read an r x d matrix of points from a text file.
+def load_points(path, skip_header: bool = False) -> PointSet:
+    """Read an r x d matrix of points from a UTF-8 text file.
 
-    One point per row, comma or whitespace delimited (``fmt`` is ``auto``,
-    ``csv`` or ``whitespace``); ``#`` lines and blank lines are ignored.
-    Raises LoadError naming the 1-based line of any malformed row.
+    One point per row; a line containing a comma is split on commas, any
+    other line on whitespace. Lines starting with ``#`` and blank lines are
+    ignored. Raises LoadError naming the 1-based line of any malformed row.
     """
-    if fmt not in ("auto", "csv", "whitespace"):
-        raise ValueError(f"unknown format tag {fmt!r}")
     rows = []
-    width = None
-    header_skipped = not skip_header
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
+            try:
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"not UTF-8 text ({exc.reason})", line=lineno) from None
             if not text or text.startswith("#"):
                 continue
-            if not header_skipped:
-                header_skipped = True
+            if skip_header:
+                skip_header = False
                 continue
-            values = _parse_line(text, lineno, fmt)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
+            values = _parse_line(text, lineno)
+            if rows and len(values) != len(rows[0]):
                 raise LoadError(
-                    f"ragged row with {len(values)} cells, expected {width}",
+                    f"ragged row with {len(values)} cells, expected {len(rows[0])}",
                     line=lineno,
                 )
             rows.append(values)
@@ -94,7 +93,8 @@ def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> UnitV
     if P.r < 2:
         raise ShapeError("need at least 2 points to form pairwise differences")
     ii, jj = np.triu_indices(P.r, k=1)
-    diffs = P.points[ii] - P.points[jj]
+    diffs = P.points[ii]
+    diffs -= P.points[jj]
     norms = np.linalg.norm(diffs, axis=1)
     coincident = norms == 0.0
     if coincident.any():
@@ -107,4 +107,5 @@ def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> UnitV
         diffs, norms = diffs[keep], norms[keep]
         if diffs.shape[0] == 0:
             raise CoincidentPairError((int(ii[0]) + 1, int(jj[0]) + 1))
-    return UnitVectorSet(diffs / norms[:, None])
+    diffs /= norms[:, None]
+    return UnitVectorSet(diffs)

@@ -45,7 +45,7 @@ def matrix_fingerprint(m) -> str:
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
     h = hashlib.sha256()
     h.update(("%dx%d;" % m.shape).encode())
-    h.update(m.tobytes())
+    h.update(memoryview(m).cast("B"))
     return h.hexdigest()
 
 

@@ -94,6 +94,12 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
 
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"1,0\n0,1\n\xff\xfe,2\n")
+    rc = run_cli(["--input", str(not_utf8), "--k", "1"])
+    assert rc == 1
+    assert "line 3" in capsys.readouterr().err
+
 
 def test_coincident_points_need_dedup(tmp_path, capsys):
     path = tmp_path / "dups.csv"

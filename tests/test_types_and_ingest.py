@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import isoembed as ie
 from oracles import unit_rows
@@ -64,6 +68,19 @@ def test_fingerprint_tracks_content():
     assert a == b != c
 
 
+def test_fingerprint_pinned_digest():
+    m = np.array([[0.5, -1.25, 3.0], [1e-300, 2.0**60, -0.0]])
+    assert ie.matrix_fingerprint(m) == (
+        "918034193f1d778859dfb9478ecb10388b056b156eab6024c055025a15a16c93"
+    )
+
+
+def test_fingerprint_ignores_memory_layout():
+    m = np.random.default_rng(4).standard_normal((5, 3))
+    assert ie.matrix_fingerprint(np.asfortranarray(m)) == ie.matrix_fingerprint(m)
+    assert ie.matrix_fingerprint(m.T) == ie.matrix_fingerprint(np.ascontiguousarray(m.T))
+
+
 # ---------------------------------------------------------------- load_points
 
 
@@ -105,11 +122,21 @@ def test_load_points_non_numeric_cell(tmp_path):
     assert exc.value.line == 2
 
 
-def test_load_points_rejects_nan(tmp_path):
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf", "1e999"])
+def test_load_points_rejects_nan(tmp_path, spelling):
     f = tmp_path / "bad.csv"
-    f.write_text("1,nan\n")
-    with pytest.raises(ie.LoadError):
+    f.write_text(f"1,2\n1,{spelling}\n")
+    with pytest.raises(ie.LoadError, match="non-finite") as exc:
         ie.load_points(f)
+    assert exc.value.line == 2
+
+
+def test_load_points_rejects_non_utf8(tmp_path):
+    f = tmp_path / "bad.csv"
+    f.write_bytes(b"1,0\n0,1\n\xff\xfe,2\n")
+    with pytest.raises(ie.LoadError, match="UTF-8") as exc:
+        ie.load_points(f)
+    assert exc.value.line == 3
 
 
 def test_load_points_empty_file(tmp_path):
@@ -119,15 +146,70 @@ def test_load_points_empty_file(tmp_path):
         ie.load_points(f)
 
 
-def test_load_points_explicit_format_tags(tmp_path):
+# Files the parser must accept: each data row on its own line with a
+# per-line delimiter, between comment and blank lines, after an optional
+# header. Rows are written with 17 significant digits, so parsing is exact.
+DELIMS = [",", ", ", " ", "\t", "  "]
+FILLER = ["", "   ", "\t", "#", "# plain comment", "  # café, 1 2 3"]
+BAD_CELLS = {
+    "non-numeric": ["zebra", "1..2", "--1", "0x10", "1e"],
+    "non-finite": ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"],
+}
+FILE_EXAMPLES = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def point_files(draw):
+    d = draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=1, max_size=8))
+    fillers = st.lists(st.sampled_from(FILLER), max_size=2)
+    lines, data_lines = [], []
+    header = draw(st.booleans())
+    if header:
+        lines += draw(fillers) + [",".join(f"c{i}" for i in range(d))]
+    for row in rows:
+        lines += draw(fillers)
+        data_lines.append(len(lines))
+        lines.append(draw(st.sampled_from(DELIMS)).join("%.17g" % v for v in row))
+    lines += draw(fillers)
+    return np.array(rows), lines, data_lines, header
+
+
+@FILE_EXAMPLES
+@given(point_files(), st.sampled_from(["\n", "\r\n"]))
+def test_load_points_round_trips_bits(tmp_path, spec, eol):
+    expected, lines, _, header = spec
     f = tmp_path / "pts.txt"
-    f.write_text("1 2\n3 4\n")
-    assert ie.load_points(f, fmt="whitespace").r == 2
-    g = tmp_path / "pts.csv"
-    g.write_text("1,2\n3,4\n")
-    assert ie.load_points(g, fmt="csv").d == 2
-    with pytest.raises(ValueError):
-        ie.load_points(f, fmt="tsv")
+    f.write_bytes((eol.join(lines) + eol).encode())
+    ps = ie.load_points(f, skip_header=header)
+    assert ps.points.shape == expected.shape
+    assert ps.points.tobytes() == expected.tobytes()
+
+
+@FILE_EXAMPLES
+@given(point_files(), st.sampled_from(["ragged", *BAD_CELLS]), st.data())
+def test_load_points_names_injected_bad_line(tmp_path, spec, kind, data):
+    expected, lines, data_lines, header = spec
+    d = expected.shape[1]
+    cells = ["%.17g" % v for v in expected[0]]
+    if kind == "ragged":
+        cells = cells + ["1"] if d == 1 or data.draw(st.booleans()) else cells[:-1]
+        named = "ragged"
+    else:
+        bad = data.draw(st.sampled_from(BAD_CELLS[kind]))
+        cells[data.draw(st.integers(0, d - 1))] = bad
+        named = repr(bad)
+    at = data.draw(st.integers(data_lines[0] + 1, len(lines)))
+    lines = lines[:at] + [data.draw(st.sampled_from(DELIMS)).join(cells)] + lines[at:]
+    f = tmp_path / "bad.txt"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ie.LoadError) as exc:
+        ie.load_points(f, skip_header=header)
+    assert exc.value.line == at + 1
+    assert named in str(exc.value)
 
 
 # ---------------------------------------------------------------- normalize_rows
@@ -215,3 +297,45 @@ def test_pairwise_accepts_unit_set_invariants():
     rng = np.random.default_rng(5)
     u = unit_rows(rng, 15, 6)
     assert ie.is_on_simplex(np.full(u.n, 1.0 / u.n))
+
+
+def _row_major_pairs(pts, drop=False):
+    """Independent reference: (p_i - p_j) / ||p_i - p_j|| for i < j."""
+    r = len(pts)
+    D = np.array(
+        [
+            pts[i] - pts[j]
+            for i in range(r)
+            for j in range(i + 1, r)
+            if not (drop and np.array_equal(pts[i], pts[j]))
+        ]
+    )
+    return D / np.linalg.norm(D, axis=1)[:, None]
+
+
+def test_pairwise_matches_reference_bitwise():
+    pts = np.random.default_rng(13).standard_normal((25, 11)) * 3.0
+    u = ie.pairwise_unit_differences(ie.PointSet(pts))
+    assert u.X.tobytes() == _row_major_pairs(pts).tobytes()
+
+
+def test_pairwise_drop_matches_reference_bitwise():
+    pts = np.random.default_rng(14).standard_normal((12, 9))
+    pts[7] = pts[2]
+    pts[11] = pts[2]
+    u = ie.pairwise_unit_differences(ie.PointSet(pts), dedup_policy="drop")
+    assert u.n == 12 * 11 // 2 - 3
+    assert u.X.tobytes() == _row_major_pairs(pts, drop=True).tobytes()
+
+
+def test_pairwise_peak_memory_is_one_extra_copy():
+    # The build needs the output plus one n x d temporary; the pair index
+    # and norm vectors add O(n), about 0.13x of the output at d = 40.
+    P = ie.PointSet(np.random.default_rng(15).standard_normal((300, 40)))
+    tracemalloc.start()
+    try:
+        u = ie.pairwise_unit_differences(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * u.X.nbytes
