@@ -90,7 +90,8 @@ class EmbeddingResult:
 
 def _squared_projections(Xm, Vm):
     """s_i = ||V'x_i||^2, the one X @ V product per iterate: phi = 1 - s, g = -s."""
-    return np.square(Xm @ Vm).sum(axis=1)
+    Y = Xm @ Vm
+    return np.einsum("ij,ij->i", Y, Y)
 
 
 def _distortion_report(s) -> DistortionReport:

@@ -58,8 +58,7 @@ def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank tolerance must be in [0, 1), got {rank_tol!r}")
     Xm = unit_matrix(X)
-    gram = Xm.T @ Xm
-    evals = np.linalg.eigvalsh((gram + gram.T) / 2.0)[::-1]
+    evals = np.linalg.eigvalsh(Xm.T @ Xm)[::-1]
     sigma = np.sqrt(np.clip(evals, 0.0, None))
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     kappa = float(sigma[0] / sigma[rank - 1])

@@ -116,24 +116,16 @@ def emit_report(result, bounds, baselines, path, *, n, d, k, iters, eta, mode):
 def write_trace(result, path):
     """CSV trace: t = 0 record, every ascent iterate, then the average
     iterate (labelled 'avg'), one row each."""
+    rows = [(str(rec.t), rec) for rec in result.trace]
+    if result.average_record is not None:
+        rows.append(("avg", result.average_record))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,dual_value,primal_epsilon,best_epsilon,degenerate\n")
-        for rec in result.trace:
+        for label, rec in rows:
             fh.write(
-                "%d,%s,%s,%s,%d\n"
+                "%s,%s,%s,%s,%d\n"
                 % (
-                    rec.t,
-                    _format_float(rec.dual_value),
-                    _format_float(rec.primal_epsilon),
-                    _format_float(rec.best_epsilon),
-                    int(rec.degenerate),
-                )
-            )
-        if result.average_record is not None:
-            rec = result.average_record
-            fh.write(
-                "avg,%s,%s,%s,%d\n"
-                % (
+                    label,
                     _format_float(rec.dual_value),
                     _format_float(rec.primal_epsilon),
                     _format_float(rec.best_epsilon),
@@ -211,11 +203,11 @@ def _build_units(args) -> UnitVectorSet:
         policy = "drop" if args.dedup else "error"
         units = pairwise_unit_differences(points, dedup_policy=policy)
         return _subsample_pairs(units, args.max_pairs, args.seed)
-    norms = np.linalg.norm(points.points, axis=1)
-    if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
+    P = points.points
+    if np.abs(np.sqrt(np.einsum("ij,ij->i", P, P)) - 1.0).max() > ROW_NORM_TOL:
         logger.warning("rows are not unit length; renormalizing")
-        return normalize_rows(points.points)
-    return UnitVectorSet(points.points)
+        return normalize_rows(P)
+    return UnitVectorSet(P)
 
 
 def run_cli(argv=None) -> int:
@@ -264,10 +256,7 @@ def run_cli(argv=None) -> int:
         )
         if args.trace is not None:
             write_trace(result, args.trace)
-    except EmbeddingError as exc:
-        print(f"embed: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EmbeddingError, OSError) as exc:
         print(f"embed: error: {exc}", file=sys.stderr)
         return 1
     logger.info("finished in %.3f s", time.perf_counter() - t_start)

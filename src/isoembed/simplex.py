@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import SimplexWeights, weights_vector
+from .types import SIMPLEX_TOL, SimplexWeights, weights_vector
 
 
 def project_to_simplex(y) -> SimplexWeights:
@@ -25,16 +25,21 @@ def project_to_simplex(y) -> SimplexWeights:
         raise ValueError("input must be a non-empty 1-d vector")
     if not np.isfinite(y).all():
         raise ValueError("input contains non-finite entries")
-    u = np.sort(y)[::-1]
+    # Shifting every entry by one constant leaves the projection unchanged.
+    # Shifted by the largest, the entries that stay positive lie within 1 of
+    # 0 and are exact differences, so large inputs do not cancel below.
+    z = y - y.max()
+    u = np.sort(z)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, y.size + 1)
     # j = 1 always qualifies (u_1 + 1 - u_1 = 1 > 0), so rho >= 1.
     rho = int(np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1]) + 1
     alpha = (1.0 - css[rho - 1]) / rho
-    return SimplexWeights(np.maximum(y + alpha, 0.0))
+    z += alpha
+    return SimplexWeights(np.maximum(z, 0.0, out=z))
 
 
-def is_on_simplex(w, tol: float = 1e-9) -> bool:
+def is_on_simplex(w, tol: float = SIMPLEX_TOL) -> bool:
     """True iff min w_i >= -tol and |sum w_i - 1| <= tol."""
     w = weights_vector(w)
     if not np.isfinite(w).all():

@@ -87,16 +87,19 @@ class UnitVectorSet:
 
     def __post_init__(self):
         X = _as_float_matrix(self.X, "X")
-        if not np.isfinite(X).all():
-            raise ContractError("unit-vector set contains non-finite entries")
-        norms = np.linalg.norm(X, axis=1)
+        # One read pass with no n x d temporary. A NaN or inf entry, or one
+        # whose square overflows, leaves its row's norm non-finite.
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
         dev = np.abs(norms - 1.0)
         worst = dev.max()
-        if worst > RENORMALIZE_LIMIT:
-            i = int(np.argmax(dev))
+        if not worst <= RENORMALIZE_LIMIT:
+            bad = np.flatnonzero(~np.isfinite(norms))
+            i = int(bad[0]) if bad.size else int(np.argmax(dev))
+            if not np.isfinite(X[i]).all():
+                raise ContractError(f"row {i + 1} contains non-finite entries")
             raise ContractError(
                 f"row {i + 1} has norm {norms[i]:.6g}; rows must be unit length "
-                f"(deviation {worst:.3g} exceeds {RENORMALIZE_LIMIT:g})"
+                f"(deviation {dev[i]:.3g} exceeds {RENORMALIZE_LIMIT:g})"
             )
         if worst > ROW_NORM_TOL:
             X = X / norms[:, None]

@@ -13,23 +13,24 @@ def kkt_simplex_projection(y):
     """Exact simplex projection by enumerating all support sets.
 
     For each nonempty support S the equality-constrained minimizer shifts
-    the supported entries by a common constant; among the candidates that
-    land inside the simplex, the closest to y is the true projection.
-    Exponential in n, fine for n <= ~15.
+    the supported entries by a common constant and zeroes the rest. The
+    projection is the candidate meeting the KKT conditions: every supported
+    y_i + shift >= 0 and every other y_i + shift <= 0. Rounding can miss
+    them by an ulp, so the candidate violating them least wins. (Comparing
+    distances to y instead fails once one large excluded entry swamps the
+    small differences between candidates.) Exponential in n, fine for
+    n <= ~15.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    best, best_dist = None, np.inf
+    best, best_violation = None, np.inf
     for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if (mask >> i) & 1]
-        shift = (1.0 - y[idx].sum()) / len(idx)
-        w = np.zeros(n)
-        w[idx] = y[idx] + shift
-        if w[idx].min() < -1e-15:
-            continue
-        dist = np.sum((w - y) ** 2)
-        if dist < best_dist:
-            best_dist, best = dist, w
+        inside = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        shift = (1.0 - y[inside].sum()) / inside.sum()
+        w = np.where(inside, y + shift, 0.0)
+        violation = max(0.0, -w[inside].min(), (y[~inside] + shift).max(initial=-np.inf))
+        if violation < best_violation:
+            best_violation, best = violation, w
     return best
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoembed as ie
 from oracles import fd_dual_gradient, random_simplex_point, unit_rows
@@ -193,6 +195,37 @@ def test_never_worse_than_pca():
         res = ie.run_projected_ascent(X, k, ie.AscentConfig(T=30))
         eps_pca = ie.primal_distortion(X, ie.pca_basis(X, k)).epsilon
         assert res.distortion.epsilon <= eps_pca + 1e-12
+
+
+@st.composite
+def unit_sets(draw):
+    """Random unit rows, or a degenerate set: rank 1 (one line, both signs),
+    np.eye(d) (all eigenvalues of M equal) or the pairs of points of which
+    two lie 1e-9 apart."""
+    kind = draw(st.sampled_from(["random", "rank1", "eye", "near-coincident"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 6))
+    if kind == "random":
+        X = unit_rows(rng, draw(st.integers(2, 30)), d)
+    elif kind == "rank1":
+        u = unit_rows(rng, 1, d).X[0]
+        X = ie.UnitVectorSet(rng.choice([-1.0, 1.0], size=(draw(st.integers(1, 20)), 1)) * u)
+    elif kind == "eye":
+        X = ie.UnitVectorSet(np.eye(d))
+    else:
+        P = rng.standard_normal((draw(st.integers(3, 8)), d))
+        P[1] = P[0] + 1e-9 * unit_rows(rng, 1, d).X[0]
+        X = ie.pairwise_unit_differences(ie.PointSet(P))
+    return X, draw(st.integers(1, d)), draw(st.integers(0, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_sets())
+def test_weak_duality_and_pca_dominance_hold(case):
+    X, k, T = case
+    res = ie.run_projected_ascent(X, k, ie.AscentConfig(T=T))
+    assert res.best_dual_value <= res.distortion.epsilon + 1e-12
+    assert res.distortion.epsilon <= res.pca_distortion.epsilon
 
 
 def test_t_zero_equals_pca_exactly():

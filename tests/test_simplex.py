@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoembed as ie
 from oracles import kkt_simplex_projection
@@ -35,6 +37,24 @@ def test_matches_kkt_oracle():
         got = ie.project_to_simplex(y).lam
         want = kkt_simplex_projection(y)
         assert np.abs(got - want).max() <= 1e-9
+
+
+@st.composite
+def tied_vectors(draw):
+    """Up to 8 entries drawn from a pool of at most 8 values, so ties are common."""
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    n = draw(st.integers(1, 8))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_vectors())
+def test_matches_kkt_oracle_with_ties_and_large_magnitudes(y):
+    got = ie.project_to_simplex(y).lam
+    # The oracle shifts the raw entries, so its rounding grows with them.
+    scale = max(1.0, float(np.abs(y).max()))
+    assert np.abs(got - kkt_simplex_projection(y)).max() <= 1e-12 * scale
+    assert ie.is_on_simplex(got)
 
 
 def test_output_feasible_and_idempotent():

@@ -44,6 +44,34 @@ def test_unit_vector_set_rejects_large_deviation():
         ie.UnitVectorSet(np.array([[2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_vector_set_names_non_finite_row(bad):
+    X = np.eye(3)
+    X[1, 2] = bad
+    with pytest.raises(ie.ContractError, match="row 2 contains non-finite"):
+        ie.UnitVectorSet(X)
+
+
+def test_unit_vector_set_overflowing_row_is_not_unit_length():
+    # Every entry is finite, but 1e200 squared overflows the row's norm.
+    X = np.eye(3)
+    X[1, 0] = 1e200
+    with pytest.raises(ie.ContractError, match="row 2 has norm inf; rows must be unit length"):
+        ie.UnitVectorSet(X)
+
+
+def test_unit_vector_set_check_builds_no_full_size_temporary():
+    X = unit_rows(np.random.default_rng(16), 20_000, 50).X.copy()
+    tracemalloc.start()
+    try:
+        ie.UnitVectorSet(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A few length-n vectors are 0.02x of the input each at d = 50.
+    assert peak <= 0.15 * X.nbytes
+
+
 def test_simplex_weights_validation():
     w = ie.SimplexWeights.uniform(4)
     assert w.n == 4
