@@ -128,9 +128,10 @@ def primal_distortion(X, V) -> DistortionReport:
 def dual_objective(X, w, k: int) -> float:
     """g(w) = 1 - sum of the top-k eigenvalues of M(w).
 
-    Evaluates the smooth extension at any finite weight vector, so callers
-    may probe slightly off the simplex (finite differencing); on the
-    simplex the value lies in [0, 1].
+    Evaluates the smooth extension at nonnegative weights that need not sum
+    to 1, so callers may probe slightly off the simplex (finite
+    differencing); on the simplex the value lies in [0, 1]. A negative or
+    NaN weight raises ValueError.
     """
     state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
     return float(1.0 - state.eigenvalues.sum())
@@ -142,7 +143,7 @@ def dual_gradient(X, w, k: int) -> np.ndarray:
     Exact where the k-th spectral gap of M(w) is positive; with a
     degenerate gap it is a supergradient-style surrogate built from
     whichever eigenbasis the decomposition returned. Every coordinate lies
-    in [-1, 0].
+    in [-1, 0]. The weights must be nonnegative but need not sum to 1.
     """
     state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
     return _gradient(_squared_projections(unit_matrix(X), state.basis.V))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ascent import AscentConfig, primal_distortion, run_projected_ascent
 from .baselines import random_orthonormal_basis
-from .bounds import approximation_bound
+from .bounds import DEFAULT_RANK_TOL, approximation_bound
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
 from .types import ROW_NORM_TOL, UnitVectorSet
@@ -63,10 +63,6 @@ def _json_scalar(value):
     if not np.isfinite(v):
         return '"inf"' if v > 0 else '"-inf"'
     return format(v, ".17g")
-
-
-def _format_float(v):
-    return format(float(v), ".17g")
 
 
 def emit_report(result, bounds, baselines, path, *, n, d, k, iters, eta, mode):
@@ -122,16 +118,8 @@ def write_trace(result, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,dual_value,primal_epsilon,best_epsilon,degenerate\n")
         for label, rec in rows:
-            fh.write(
-                "%s,%s,%s,%s,%d\n"
-                % (
-                    label,
-                    _format_float(rec.dual_value),
-                    _format_float(rec.primal_epsilon),
-                    _format_float(rec.best_epsilon),
-                    int(rec.degenerate),
-                )
-            )
+            floats = map(_json_scalar, (rec.dual_value, rec.primal_epsilon, rec.best_epsilon))
+            fh.write(",".join([label, *floats, str(int(rec.degenerate))]) + "\n")
 
 
 def build_parser():
@@ -183,7 +171,10 @@ def build_parser():
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p.add_argument("--trace", default=None, help="optional iteration-trace CSV path")
     p.add_argument(
-        "--rank-tol", type=float, default=1e-10, help="relative rank tolerance, in [0, 1)"
+        "--rank-tol",
+        type=float,
+        default=DEFAULT_RANK_TOL,
+        help="relative rank tolerance, in [0, 1)",
     )
     return p
 

@@ -50,4 +50,4 @@ class ShapeError(EmbeddingError):
 
 class ContractError(EmbeddingError):
     """A documented invariant was violated (non-orthonormal basis,
-    asymmetric moment matrix, weak-duality breach, ...)."""
+    asymmetric matrix given to ``top_k_eigenpairs``, weak-duality breach, ...)."""

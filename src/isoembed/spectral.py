@@ -18,9 +18,8 @@ from .types import OrthonormalBasis, unit_matrix, weights_vector
 SYMMETRY_TOL = 1e-10
 
 # Eigenvalues of a PSD-by-construction matrix may come out of LAPACK a hair
-# negative; anything above this is clipped to zero, anything below it is a
-# genuine contract violation for PSD inputs (left untouched: the input may
-# legitimately be indefinite, e.g. off-simplex weights).
+# negative; anything above this is clipped to zero, anything below it is
+# left untouched (a symmetric matrix passed in directly may be indefinite).
 NEGATIVE_CLIP = -1e-10
 
 
@@ -39,19 +38,22 @@ class SpectralState:
 
 
 def weighted_moment_matrix(X, w) -> np.ndarray:
-    """M = sum_i w_i x_i x_i' as a d x d symmetric matrix.
+    """M = sum_i w_i x_i x_i' = A'A with A = diag(sqrt(w)) X, a d x d PSD matrix.
 
-    For unit rows and simplex weights, trace(M) = sum w_i = 1 and M is PSD.
+    The weights must be nonnegative but need not sum to 1; a negative or
+    NaN weight raises ValueError naming its 1-based index. numpy computes
+    A'A with BLAS syrk, which fills one triangle and mirrors it, so M is
+    exactly symmetric. For unit rows and simplex weights, trace(M) = 1.
     """
     Xm = unit_matrix(X)
     wv = weights_vector(w)
     if wv.ndim != 1 or wv.size != Xm.shape[0]:
-        raise ShapeError(
-            f"weight vector has length {wv.size}, expected {Xm.shape[0]}"
-        )
-    M = (Xm * wv[:, None]).T @ Xm
-    # dgemm roundoff can leave ~1e-17 asymmetry; symmetrize explicitly.
-    return (M + M.T) / 2.0
+        raise ShapeError(f"weight vector has length {wv.size}, expected {Xm.shape[0]}")
+    if not wv.min() >= 0.0:
+        i = int(np.argmax(~(wv >= 0.0)))
+        raise ValueError(f"{'NaN' if np.isnan(wv[i]) else 'negative'} weight at index {i + 1}")
+    A = Xm * np.sqrt(wv)[:, None]
+    return A.T @ A
 
 
 def _canonical_signs(V):

@@ -3,7 +3,9 @@ orthonormal bases.
 
 All types validate their invariants at construction and freeze the wrapped
 arrays (``writeable=False``), so instances are safe to share between
-threads.
+threads. A float64 C-contiguous input is taken over, not copied: the
+caller's array becomes read-only ("assignment destination is read-only" on
+a later write), so a caller that keeps writing should pass ``X.copy()``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def matrix_fingerprint(m) -> str:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An r x d matrix of raw data points, one point per row."""
+    """An r x d matrix of raw data points, one point per row. A float64
+    C-contiguous input is taken over read-only; pass ``P.copy()`` to keep writing P."""
 
     points: np.ndarray
 
@@ -80,6 +83,8 @@ class UnitVectorSet:
     Rows whose norm deviates from 1 by more than ``ROW_NORM_TOL`` but at
     most ``RENORMALIZE_LIMIT`` are renormalized (benign roundoff); larger
     deviations raise, since they indicate the wrong data was passed.
+    A float64 C-contiguous ``X`` that needs no renormalising is kept without
+    a copy and made read-only; pass ``X.copy()`` to keep writing to it.
     """
 
     X: np.ndarray

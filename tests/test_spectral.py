@@ -16,6 +16,10 @@ def test_moment_matrix_axis_aligned():
     assert np.allclose(
         ie.weighted_moment_matrix(X, np.array([0.75, 0.25])), np.diag([0.75, 0.25])
     )
+    # -0.0 is a nonnegative weight
+    assert np.array_equal(
+        ie.weighted_moment_matrix(X, np.array([-0.0, 1.0])), [[0.0, 0.0], [0.0, 1.0]]
+    )
 
 
 def test_moment_matrix_shape_mismatch():
@@ -32,6 +36,29 @@ def test_moment_matrix_trace_and_psd():
         M = ie.weighted_moment_matrix(X, lam)
         assert abs(np.trace(M) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(M).min() >= -1e-10
+        assert np.array_equal(M, M.T)
+        reference = np.einsum("i,ij,ik->jk", lam, X.X, X.X)
+        assert np.abs(M - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        ie.weighted_moment_matrix,
+        lambda X, w: ie.dual_objective(X, w, 1),
+        lambda X, w: ie.dual_gradient(X, w, 1),
+    ],
+    ids=["weighted_moment_matrix", "dual_objective", "dual_gradient"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [(-1e-12, "negative weight at index 3"), (np.nan, "NaN weight at index 3")],
+    ids=["negative", "nan"],
+)
+def test_moment_weights_must_be_nonnegative(fn, bad, message):
+    w = np.array([0.5, 0.25, bad, 0.25, -1.0])
+    with pytest.raises(ValueError, match=message):
+        fn(np.eye(5), w)
 
 
 def test_top_k_diagonal_cases():

@@ -33,6 +33,18 @@ def test_unit_vector_set_accepts_exact_rows():
     assert not u.X.flags.writeable
 
 
+@pytest.mark.parametrize("cls", [ie.PointSet, ie.UnitVectorSet])
+def test_float64_c_contiguous_input_is_taken_over_read_only(cls):
+    own = np.eye(3)
+    held = getattr(cls(own), "points" if cls is ie.PointSet else "X")
+    assert np.shares_memory(held, own) and not own.flags.writeable
+    with pytest.raises(ValueError, match="assignment destination is read-only"):
+        own[0, 0] = 2.0
+    for other in (np.eye(3, dtype=np.float32), np.asfortranarray(np.eye(3))):
+        held = getattr(cls(other), "points" if cls is ie.PointSet else "X")
+        assert not np.shares_memory(held, other) and other.flags.writeable
+
+
 def test_unit_vector_set_renormalizes_small_deviation():
     row = np.array([[1.0 + 1e-7, 0.0]])
     u = ie.UnitVectorSet(row)
