@@ -16,7 +16,7 @@ from .ascent import (
     primal_distortion,
     run_projected_ascent,
 )
-from .baselines import grid_search_optimum, pca_basis, random_orthonormal_basis
+from .baselines import pca_basis, random_orthonormal_basis
 from .bounds import (
     BoundReport,
     SandwichDiagnostic,
@@ -34,7 +34,12 @@ from .errors import (
 )
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
 from .simplex import is_on_simplex, project_to_simplex
-from .spectral import SpectralState, top_k_eigenpairs, weighted_moment_matrix
+from .spectral import (
+    SpectralState,
+    top_k_eigenpairs,
+    uniform_moment_matrix,
+    weighted_moment_matrix,
+)
 from .types import (
     OrthonormalBasis,
     PointSet,
@@ -68,7 +73,6 @@ __all__ = [
     "dual_gradient",
     "dual_objective",
     "duality_sandwich_check",
-    "grid_search_optimum",
     "is_on_simplex",
     "load_points",
     "matrix_fingerprint",
@@ -81,5 +85,6 @@ __all__ = [
     "run_projected_ascent",
     "singular_spectrum",
     "top_k_eigenpairs",
+    "uniform_moment_matrix",
     "weighted_moment_matrix",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .simplex import project_to_simplex
-from .spectral import top_k_eigenpairs, weighted_moment_matrix
+from .spectral import top_k_eigenpairs, uniform_moment_matrix, weighted_moment_matrix
 from .types import OrthonormalBasis, SimplexWeights, UnitVectorSet, unit_matrix
 
 logger = logging.getLogger(__name__)
@@ -164,9 +164,9 @@ def default_step_size(n: int, T: int) -> float:
     return math.sqrt(2.0) / math.sqrt(float(n) * float(T))
 
 
-def _evaluate(Xm, lam, k):
-    """Eigendecompose M(lam) and score its basis; the returned s feeds the next step."""
-    state = top_k_eigenpairs(weighted_moment_matrix(Xm, lam), k)
+def _evaluate(Xm, M, k):
+    """Eigendecompose M = M(lam) and score its basis; the returned s feeds the next step."""
+    state = top_k_eigenpairs(M, k)
     s = _squared_projections(Xm, state.basis.V)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
     degenerate = state.spectral_gap < DEGENERACY_TOL
@@ -195,7 +195,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
         eta = float(cfg.step_size)
 
     lam = np.full(n, 1.0 / n)
-    state, s, report, dual, degen = _evaluate(Xm, lam, k)
+    state, s, report, dual, degen = _evaluate(Xm, uniform_moment_matrix(X), k)
     pca_report = report
     best_eps, best_lam, best_basis, best_report = report.epsilon, lam, state.basis, report
     best_dual = dual
@@ -205,7 +205,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     for t in range(1, T + 1):
         lam = project_to_simplex(lam + eta * _gradient(s)).lam
         lam_sum += lam
-        state, s, report, dual, degen = _evaluate(Xm, lam, k)
+        state, s, report, dual, degen = _evaluate(Xm, weighted_moment_matrix(Xm, lam), k)
         if report.epsilon < best_eps:
             best_eps, best_lam, best_basis, best_report = (
                 report.epsilon,
@@ -221,7 +221,9 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     sel_lam, sel_basis, sel_report = best_lam, best_basis, best_report
     if T >= 1:
         lam_avg = lam_sum / T
-        avg_state, _, avg_report, avg_dual, avg_degen = _evaluate(Xm, lam_avg, k)
+        avg_state, _, avg_report, avg_dual, avg_degen = _evaluate(
+            Xm, weighted_moment_matrix(Xm, lam_avg), k
+        )
         best_dual = max(best_dual, avg_dual)
         average_record = IterationRecord(
             T, avg_dual, avg_report.epsilon, min(best_eps, avg_report.epsilon), avg_degen

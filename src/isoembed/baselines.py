@@ -1,29 +1,21 @@
-"""Reference embeddings: PCA, seeded random orthonormal projections, and a
-small-instance exhaustive search used as an optimality oracle in tests."""
+"""Reference embeddings: PCA and seeded random orthonormal projections."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .ascent import primal_distortion
-from .spectral import top_k_eigenpairs, weighted_moment_matrix
-from .types import OrthonormalBasis, unit_matrix
+from .spectral import top_k_eigenpairs, uniform_moment_matrix
+from .types import OrthonormalBasis
 
 
 def pca_basis(X, k: int) -> OrthonormalBasis:
     """Top-k eigenvectors of the uniformly weighted second-moment matrix.
 
     This is exactly the t = 0 iterate of the ascent driver, so its
-    distortion is the PCA reference the driver can only improve on.
+    distortion is the PCA reference the driver can only improve on. A
+    UnitVectorSet shares that matrix with the driver and the bounds.
     """
-    Xm = unit_matrix(X)
-    n, d = Xm.shape
-    if not (1 <= k <= d):
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-    M = weighted_moment_matrix(Xm, np.full(n, 1.0 / n))
-    return top_k_eigenpairs(M, k).basis
+    return top_k_eigenpairs(uniform_moment_matrix(X), k).basis
 
 
 def random_orthonormal_basis(d: int, k: int, seed: int) -> OrthonormalBasis:
@@ -41,54 +33,3 @@ def random_orthonormal_basis(d: int, k: int, seed: int) -> OrthonormalBasis:
     Q, R = np.linalg.qr(A)
     Q = Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
     return OrthonormalBasis(Q)
-
-
-def _epsilon_for_directions(Xm, D):
-    # D: m x d candidate unit directions; epsilon per direction in one shot.
-    proj2 = np.square(Xm @ D.T)  # n x m
-    return 1.0 - proj2.min(axis=0)
-
-
-def grid_search_optimum(X, k: int, resolution: int):
-    """Brute-force near-optimal embedding for desk-scale instances.
-
-    k = 1 in d = 2 scans an angle grid over the half circle, k = 1 in
-    d = 3 a Fibonacci sphere lattice; any other combination with d <= 4
-    falls back to scoring ``resolution`` seeded random orthonormal bases.
-    Returns (basis, epsilon). The reported epsilon upper-bounds the true
-    optimum by construction and is non-increasing under nested grids.
-    """
-    if resolution < 100:
-        raise ValueError(f"resolution must be >= 100, got {resolution}")
-    Xm = unit_matrix(X)
-    n, d = Xm.shape
-    if not (1 <= k <= d):
-        raise ValueError(f"k must be in [1, {d}], got {k}")
-
-    if k == 1 and d == 2:
-        theta = np.pi * np.arange(resolution) / resolution
-        D = np.column_stack([np.cos(theta), np.sin(theta)])
-    elif k == 1 and d == 3:
-        i = np.arange(resolution)
-        z = 1.0 - (2.0 * i + 1.0) / resolution
-        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        phi = i * math.pi * (3.0 - math.sqrt(5.0))
-        D = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    elif d <= 4:
-        best_eps = math.inf
-        best = None
-        for s in range(resolution):
-            B = random_orthonormal_basis(d, k, seed=s)
-            eps = primal_distortion(Xm, B.V).epsilon
-            if eps < best_eps:
-                best_eps, best = eps, B
-        return best, float(best_eps)
-    else:
-        raise ValueError(
-            f"grid search supports k = 1 with d <= 3, or d <= 4; got d={d}, k={k}"
-        )
-
-    eps_all = _epsilon_for_directions(Xm, D)
-    j = int(np.argmin(eps_all))
-    v = D[j] / np.linalg.norm(D[j])
-    return OrthonormalBasis(v[:, None]), float(eps_all[j])

@@ -16,6 +16,7 @@ import numpy as np
 
 from .ascent import EmbeddingResult
 from .errors import ContractError
+from .spectral import uniform_moment_matrix
 from .types import UnitVectorSet, unit_matrix
 
 DEFAULT_RANK_TOL = 1e-10
@@ -45,21 +46,22 @@ class SandwichDiagnostic:
     certified_ratio: float | None  # epsilon / best_dual; None when 0/0
     exact_optimum: bool  # epsilon ~ 0 and dual ~ 0
     bound_sigma: float
-    within_bound_sigma: bool | None  # informational; dual may undershoot
 
 
 def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
     """Singular values of X (descending), numerical rank and kappa.
 
-    Computed from the eigenvalues of the d x d Gram matrix X'X rather than
-    an n x d SVD: n dwarfs d in pairwise mode. ``rank_tol`` must lie in
+    Computed as sigma_i^2 = n mu_i from the eigenvalues mu_i of the d x d
+    matrix M(uniform) = X'X / n rather than from an n x d SVD: n dwarfs d in
+    pairwise mode, and a UnitVectorSet keeps the M(uniform) that the ascent
+    or PCA already built, so no row is read again. ``rank_tol`` must lie in
     [0, 1): at 1 or above no singular value would count towards the rank.
     """
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank tolerance must be in [0, 1), got {rank_tol!r}")
-    Xm = unit_matrix(X)
-    evals = np.linalg.eigvalsh(Xm.T @ Xm)[::-1]
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
+    n = unit_matrix(X).shape[0]
+    evals = np.linalg.eigvalsh(uniform_moment_matrix(X))[::-1]
+    sigma = np.sqrt(np.clip(n * evals, 0.0, None))
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     kappa = float(sigma[0] / sigma[rank - 1])
     return sigma, rank, kappa
@@ -100,10 +102,10 @@ def duality_sandwich_check(
     """Verify best-dual <= achieved epsilon and report the certified ratio.
 
     The ratio epsilon/best_dual upper-bounds epsilon/optimum whenever the
-    best dual value is positive. It is only compared against bound_sigma
-    informationally: a finite-iteration dual value can undershoot the dual
-    optimum, so exceeding the bound is not by itself an error. A violated
-    sandwich, however, is impossible and raises ContractError.
+    best dual value is positive. A finite-iteration dual value can
+    undershoot the dual optimum, so a ratio above bound_sigma is not by
+    itself an error. A violated sandwich, however, is impossible and raises
+    ContractError.
     """
     if result.fingerprint and report.fingerprint and result.fingerprint != report.fingerprint:
         raise ValueError("result and bound report come from different data sets")
@@ -116,18 +118,14 @@ def duality_sandwich_check(
     exact = eps <= SANDWICH_TOL and dual <= SANDWICH_TOL
     if exact:
         ratio = None
-        within = None
     elif dual > 0.0:
         ratio = eps / dual
-        within = bool(ratio <= report.bound_sigma)
     else:
         ratio = math.inf
-        within = None
     return SandwichDiagnostic(
         epsilon=eps,
         best_dual=dual,
         certified_ratio=ratio,
         exact_optimum=exact,
         bound_sigma=report.bound_sigma,
-        within_bound_sigma=within,
     )

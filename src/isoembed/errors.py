@@ -2,7 +2,7 @@
 
 Anything raised here signals a data or contract problem the caller can act
 on; plain ``ValueError`` is reserved for argument-range and configuration
-mistakes (bad ``k``, unsupported grid combination, ...).
+mistakes (bad ``k``, a rank tolerance outside [0, 1), ...).
 """
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .types import OrthonormalBasis, unit_matrix, weights_vector
+from .types import (
+    OrthonormalBasis,
+    UnitVectorSet,
+    first_bad_weight,
+    unit_matrix,
+    weights_vector,
+)
 
 SYMMETRY_TOL = 1e-10
 
@@ -49,11 +55,29 @@ def weighted_moment_matrix(X, w) -> np.ndarray:
     wv = weights_vector(w)
     if wv.ndim != 1 or wv.size != Xm.shape[0]:
         raise ShapeError(f"weight vector has length {wv.size}, expected {Xm.shape[0]}")
-    if not wv.min() >= 0.0:
-        i = int(np.argmax(~(wv >= 0.0)))
-        raise ValueError(f"{'NaN' if np.isnan(wv[i]) else 'negative'} weight at index {i + 1}")
+    bad = first_bad_weight(wv)
+    if bad:
+        raise ValueError(bad)
     A = Xm * np.sqrt(wv)[:, None]
     return A.T @ A
+
+
+def uniform_moment_matrix(X) -> np.ndarray:
+    """M(uniform) = weighted_moment_matrix(X, 1/n), returned read-only.
+
+    Its top-k eigenvectors are the PCA basis (the ascent's t = 0 iterate),
+    and n times its eigenvalues are the squared singular values of X. A
+    UnitVectorSet builds it on first use and keeps it, as it keeps its
+    fingerprint: the frozen rows cannot change afterwards.
+    """
+    M = X._uniform_moment if isinstance(X, UnitVectorSet) else None
+    if M is None:
+        n = unit_matrix(X).shape[0]
+        M = weighted_moment_matrix(X, np.full(n, 1.0 / n))
+        M.flags.writeable = False
+        if isinstance(X, UnitVectorSet):
+            object.__setattr__(X, "_uniform_moment", M)
+    return M
 
 
 def _canonical_signs(V):

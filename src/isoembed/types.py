@@ -72,9 +72,6 @@ class PointSet:
     def d(self) -> int:
         return self.points.shape[1]
 
-    def fingerprint(self) -> str:
-        return matrix_fingerprint(self.points)
-
 
 @dataclass(frozen=True)
 class UnitVectorSet:
@@ -89,6 +86,10 @@ class UnitVectorSet:
 
     X: np.ndarray
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+    # M(uniform), kept by spectral.uniform_moment_matrix on first use.
+    _uniform_moment: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         X = _as_float_matrix(self.X, "X")
@@ -136,10 +137,9 @@ class SimplexWeights:
         lam = np.asarray(self.lam, dtype=np.float64)
         if lam.ndim != 1 or lam.size < 1:
             raise ShapeError("weights must be a non-empty 1-d vector")
-        if not np.isfinite(lam).all():
-            raise ContractError("weights contain non-finite entries")
-        if lam.min() < 0.0:
-            raise ContractError(f"negative weight at index {int(np.argmin(lam)) + 1}")
+        bad = first_bad_weight(lam)
+        if bad:
+            raise ContractError(bad)
         if abs(lam.sum() - 1.0) > SIMPLEX_TOL:
             raise ContractError(f"weights sum to {lam.sum():.12g}, not 1")
         object.__setattr__(self, "lam", _freeze(lam))
@@ -179,6 +179,16 @@ class OrthonormalBasis:
     @property
     def k(self) -> int:
         return self.V.shape[1]
+
+
+def first_bad_weight(w) -> str | None:
+    """The error text for the first (1-based) negative or NaN weight of a
+    non-empty vector, "negative weight at index N" or "NaN weight at index
+    N"; None when every weight is >= 0 (``-0.0`` included)."""
+    if w.min() >= 0.0:
+        return None
+    i = int(np.argmax(~(w >= 0.0)))
+    return f"{'NaN' if np.isnan(w[i]) else 'negative'} weight at index {i + 1}"
 
 
 def unit_matrix(X) -> np.ndarray:

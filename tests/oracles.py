@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately brute force and shares no code with the
-implementations under test.
+implementations under test; the grid search only draws its fallback
+candidates with the library's seeded ``random_orthonormal_basis``.
 """
+
+import math
 
 import numpy as np
 
@@ -49,6 +52,57 @@ def fd_dual_gradient(X, lam, k, h=1e-6):
         dn[i] -= h
         g[i] = (ie.dual_objective(X, up, k) - ie.dual_objective(X, dn, k)) / (2.0 * h)
     return g
+
+
+def _epsilon_for_directions(Xm, D):
+    # D: m x d candidate unit directions; epsilon per direction in one shot.
+    proj2 = np.square(Xm @ D.T)  # n x m
+    return 1.0 - proj2.min(axis=0)
+
+
+def grid_search_optimum(X, k, resolution):
+    """Brute-force near-optimal embedding for desk-scale instances.
+
+    k = 1 in d = 2 scans an angle grid over the half circle, k = 1 in
+    d = 3 a Fibonacci sphere lattice; any other combination with d <= 4
+    falls back to scoring ``resolution`` seeded random orthonormal bases.
+    Returns (basis, epsilon). The reported epsilon upper-bounds the true
+    optimum by construction and is non-increasing under nested grids.
+    """
+    if resolution < 100:
+        raise ValueError(f"resolution must be >= 100, got {resolution}")
+    Xm = X.X if isinstance(X, ie.UnitVectorSet) else np.asarray(X, dtype=float)
+    n, d = Xm.shape
+    if not (1 <= k <= d):
+        raise ValueError(f"k must be in [1, {d}], got {k}")
+
+    if k == 1 and d == 2:
+        theta = np.pi * np.arange(resolution) / resolution
+        D = np.column_stack([np.cos(theta), np.sin(theta)])
+    elif k == 1 and d == 3:
+        i = np.arange(resolution)
+        z = 1.0 - (2.0 * i + 1.0) / resolution
+        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        phi = i * math.pi * (3.0 - math.sqrt(5.0))
+        D = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    elif d <= 4:
+        best_eps = math.inf
+        best = None
+        for s in range(resolution):
+            B = ie.random_orthonormal_basis(d, k, seed=s)
+            eps = float((1.0 - np.square(Xm @ B.V).sum(axis=1)).max())
+            if eps < best_eps:
+                best_eps, best = eps, B
+        return best, best_eps
+    else:
+        raise ValueError(
+            f"grid search supports k = 1 with d <= 3, or d <= 4; got d={d}, k={k}"
+        )
+
+    eps_all = _epsilon_for_directions(Xm, D)
+    j = int(np.argmin(eps_all))
+    v = D[j] / np.linalg.norm(D[j])
+    return ie.OrthonormalBasis(v[:, None]), float(eps_all[j])
 
 
 def unit_rows(rng, n, d):

@@ -14,6 +14,7 @@ from isoembed.cli import run_cli
 from oracles import (
     clustered_rows,
     fd_dual_gradient,
+    grid_search_optimum,
     kkt_simplex_projection,
     random_simplex_point,
     unit_rows,
@@ -154,7 +155,7 @@ def test_criterion_07_desk_scale_near_optimality():
         d = 2 + (i % 2)
         n = int(rng.integers(8, 26))
         X = clustered_rows(rng, n, d, spread=0.2)
-        _, grid_eps = ie.grid_search_optimum(X, 1, 10000)
+        _, grid_eps = grid_search_optimum(X, 1, 10000)
         res = ie.run_projected_ascent(X, 1, ie.AscentConfig(T=2000))
         assert res.distortion.epsilon <= grid_eps + 0.02, (i, res.distortion.epsilon, grid_eps)
         if res.best_dual_value > 0.05:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isoembed as ie
-from oracles import unit_rows
+from oracles import grid_search_optimum, unit_rows
 
 
 def test_pca_basis_hand_value():
@@ -56,21 +56,21 @@ def test_random_basis_k_exceeds_d():
 
 
 def test_grid_two_orthogonal_vectors():
-    basis, eps = ie.grid_search_optimum(np.eye(2), 1, 10000)
+    basis, eps = grid_search_optimum(np.eye(2), 1, 10000)
     assert eps == pytest.approx(0.5, abs=1e-6)
     assert np.allclose(np.abs(basis.V[:, 0]), [1 / math.sqrt(2)] * 2, atol=1e-3)
 
 
 def test_grid_single_row_exact_recovery():
     X = ie.UnitVectorSet(np.array([[0.6, 0.8]]))
-    _, eps = ie.grid_search_optimum(X, 1, 10000)
+    _, eps = grid_search_optimum(X, 1, 10000)
     assert eps <= 1e-7
 
 
 def test_grid_three_vector_example():
     s = 1.0 / math.sqrt(2.0)
     X = np.array([[1.0, 0.0], [0.0, 1.0], [s, s]])
-    basis, eps = ie.grid_search_optimum(X, 1, 10000)
+    basis, eps = grid_search_optimum(X, 1, 10000)
     assert eps == pytest.approx(0.5, abs=1e-6)
     assert np.allclose(np.abs(basis.V[:, 0]), [s, s], atol=1e-3)
 
@@ -78,27 +78,27 @@ def test_grid_three_vector_example():
 def test_grid_nested_resolutions_monotone():
     rng = np.random.default_rng(51)
     X = unit_rows(rng, 12, 2)
-    _, coarse = ie.grid_search_optimum(X, 1, 500)
-    _, fine = ie.grid_search_optimum(X, 1, 1000)  # contains the coarse grid
+    _, coarse = grid_search_optimum(X, 1, 500)
+    _, fine = grid_search_optimum(X, 1, 1000)  # contains the coarse grid
     assert fine <= coarse + 1e-15
 
 
 def test_grid_sphere_and_random_fallback():
     rng = np.random.default_rng(52)
     X3 = unit_rows(rng, 10, 3)
-    _, eps3 = ie.grid_search_optimum(X3, 1, 2000)
+    _, eps3 = grid_search_optimum(X3, 1, 2000)
     assert 0.0 <= eps3 <= 1.0
     X4 = unit_rows(rng, 10, 4)
-    basis, eps4 = ie.grid_search_optimum(X4, 2, 200)
+    basis, eps4 = grid_search_optimum(X4, 2, 200)
     assert 0.0 <= eps4 <= 1.0
     assert np.abs(basis.V.T @ basis.V - np.eye(2)).max() <= 1e-10
 
 
 def test_grid_rejects_unsupported():
     with pytest.raises(ValueError):
-        ie.grid_search_optimum(np.eye(5), 1, 1000)  # d = 5 unsupported
+        grid_search_optimum(np.eye(5), 1, 1000)  # d = 5 unsupported
     with pytest.raises(ValueError):
-        ie.grid_search_optimum(np.eye(2), 1, 50)  # resolution too small
+        grid_search_optimum(np.eye(2), 1, 50)  # resolution too small
 
 
 def test_grid_upper_bounds_ascent_never_contradicts():
@@ -106,7 +106,7 @@ def test_grid_upper_bounds_ascent_never_contradicts():
     # both must sit above the best dual value seen
     rng = np.random.default_rng(53)
     X = unit_rows(rng, 15, 3)
-    _, grid_eps = ie.grid_search_optimum(X, 1, 5000)
+    _, grid_eps = grid_search_optimum(X, 1, 5000)
     res = ie.run_projected_ascent(X, 1, ie.AscentConfig(T=300))
     assert res.best_dual_value <= grid_eps + 1e-8
     assert res.best_dual_value <= res.distortion.epsilon + 1e-8

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,54 @@ def test_spectrum_sum_equals_n():
         X = unit_rows(rng, n, d)
         sigma, _, _ = ie.singular_spectrum(X)
         assert abs(np.square(sigma).sum() - n) <= 1e-8 * n
+
+
+def test_spectrum_is_n_times_the_uniform_moment_spectrum():
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        n, d = int(rng.integers(2, 50)), int(rng.integers(1, 10))
+        X = unit_rows(rng, n, d)
+        M = ie.weighted_moment_matrix(X, np.full(n, 1.0 / n))
+        want = np.sqrt(np.clip(n * np.linalg.eigvalsh(M), 0.0, None))[::-1]
+        assert np.array_equal(ie.singular_spectrum(X)[0], want)
+
+
+class _UnreadableRows:
+    """Stands in for UnitVectorSet.X: its shape may be read, its entries not."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("a pass over the rows of X")
+
+    def __getitem__(self, key):
+        raise AssertionError("a read of a row of X")
+
+
+def test_bounds_and_pca_reuse_the_runs_uniform_moment(monkeypatch):
+    rng = np.random.default_rng(68)
+    X = unit_rows(rng, 40, 6)
+    fresh = ie.UnitVectorSet(X.X.copy())
+    want_bound = ie.approximation_bound(fresh)
+    want_V = ie.pca_basis(fresh, 3).V
+
+    ie.run_projected_ascent(X, 3, ie.AscentConfig(T=4))
+    real = ie.weighted_moment_matrix
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("isoembed") and getattr(mod, "weighted_moment_matrix", None) is real:
+            monkeypatch.setattr(mod, "weighted_moment_matrix", None)
+    object.__setattr__(X, "X", _UnreadableRows(X.X.shape))
+    bound = ie.approximation_bound(X)
+    assert np.array_equal(bound.singular_values, want_bound.singular_values)
+    assert (bound.bound_sigma, bound.bound_kappa, bound.rank, bound.kappa) == (
+        want_bound.bound_sigma,
+        want_bound.bound_kappa,
+        want_bound.rank,
+        want_bound.kappa,
+    )
+    assert bound.fingerprint == want_bound.fingerprint
+    assert np.array_equal(ie.pca_basis(X, 3).V, want_V)
 
 
 def test_rank_tolerance_must_lie_in_unit_interval():

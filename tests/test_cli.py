@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,18 +246,19 @@ def test_explicit_eta_is_reported(tmp_path, small_input):
 
 
 def test_run_hashes_and_builds_the_pca_solution_once(tmp_path, small_input, monkeypatch):
-    from isoembed import ascent, baselines, types
+    from isoembed import types
 
     hashes = []
     real_hash = types.matrix_fingerprint
     monkeypatch.setattr(types, "matrix_fingerprint", lambda m: hashes.append(1) or real_hash(m))
-    # pca_basis builds M(uniform) through this name; the run must not call it
-    monkeypatch.setattr(baselines, "weighted_moment_matrix", None)
+    # count every moment build, wherever the ascent, baselines or bounds look it up
     moments = []
-    real_moment = ascent.weighted_moment_matrix
-    monkeypatch.setattr(
-        ascent, "weighted_moment_matrix", lambda X, w: moments.append(1) or real_moment(X, w)
-    )
+    real = ie.weighted_moment_matrix
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("isoembed") and getattr(mod, "weighted_moment_matrix", None) is real:
+            monkeypatch.setattr(
+                mod, "weighted_moment_matrix", lambda X, w: moments.append(1) or real(X, w)
+            )
     rc = run_cli(
         ["--input", str(small_input), "--k", "2", "--iters", "6",
          "--baselines", "pca,random", "--out", str(tmp_path / "r.json")]
@@ -270,3 +275,30 @@ def test_unwritable_out_path_exits_1(tmp_path, small_input, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_fresh_processes_write_identical_bytes(tmp_path):
+    # the README's contract: same build and BLAS thread count, same bytes
+    rng = np.random.default_rng(71)
+    src = tmp_path / "pts.csv"
+    write_matrix(src, rng.standard_normal((30, 5)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    blobs = []
+    for tag in ("a", "b"):
+        out, trace = tmp_path / f"r_{tag}.json", tmp_path / f"t_{tag}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoembed.cli", "--input", str(src), "--k", "2",
+             "--iters", "25", "--baselines", "pca,random", "--seed", "3",
+             "--out", str(out), "--trace", str(trace)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((out.read_bytes(), trace.read_bytes()))
+    assert blobs[0] == blobs[1]

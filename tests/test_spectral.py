@@ -42,23 +42,39 @@ def test_moment_matrix_trace_and_psd():
 
 
 @pytest.mark.parametrize(
-    "fn",
+    "fn, error",
     [
-        ie.weighted_moment_matrix,
-        lambda X, w: ie.dual_objective(X, w, 1),
-        lambda X, w: ie.dual_gradient(X, w, 1),
+        (ie.weighted_moment_matrix, ValueError),
+        (lambda X, w: ie.dual_objective(X, w, 1), ValueError),
+        (lambda X, w: ie.dual_gradient(X, w, 1), ValueError),
+        (lambda X, w: ie.SimplexWeights(w), ie.ContractError),
     ],
-    ids=["weighted_moment_matrix", "dual_objective", "dual_gradient"],
+    ids=["weighted_moment_matrix", "dual_objective", "dual_gradient", "SimplexWeights"],
 )
 @pytest.mark.parametrize(
     "bad, message",
     [(-1e-12, "negative weight at index 3"), (np.nan, "NaN weight at index 3")],
     ids=["negative", "nan"],
 )
-def test_moment_weights_must_be_nonnegative(fn, bad, message):
+def test_moment_weights_must_be_nonnegative(fn, error, bad, message):
+    # the first bad weight is named, not the most negative one (index 5)
     w = np.array([0.5, 0.25, bad, 0.25, -1.0])
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         fn(np.eye(5), w)
+
+
+def test_uniform_moment_matrix_is_the_cached_read_only_t0_matrix():
+    rng = np.random.default_rng(25)
+    X = unit_rows(rng, 30, 5)
+    M = ie.uniform_moment_matrix(X)
+    assert np.array_equal(M, ie.weighted_moment_matrix(X, np.full(30, 1.0 / 30)))
+    assert ie.uniform_moment_matrix(X) is M
+    raw = ie.uniform_moment_matrix(X.X)
+    assert np.array_equal(raw, M) and raw is not M
+    for m in (M, raw):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
 
 
 def test_top_k_diagonal_cases():
