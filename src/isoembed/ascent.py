@@ -5,7 +5,8 @@ concave over the probability simplex. Each ascent step moves the weights
 along the dual gradient, projects back onto the simplex, recovers the
 candidate basis from the top-k eigenvectors of M, and scores its worst-case
 distortion. The driver keeps the best iterate seen and finally compares it
-against the average iterate, returning whichever embeds better.
+against the average iterate, returning whichever embeds better. Raw rows
+are checked as ``UnitVectorSet`` checks them, without taking them over.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ShapeError
 from .simplex import project_to_simplex
 from .spectral import top_k_eigenpairs, uniform_moment_matrix, weighted_moment_matrix
-from .types import OrthonormalBasis, SimplexWeights, UnitVectorSet, unit_matrix
+from .types import OrthonormalBasis, SimplexWeights, UnitVectorSet, as_unit_vector_set
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +118,7 @@ def primal_distortion(X, V) -> DistortionReport:
     attaining it (0-based). V must have orthonormal columns; a raw array is
     checked by building an OrthonormalBasis from a copy of it.
     """
-    Xm = unit_matrix(X)
+    Xm = as_unit_vector_set(X).X
     if not isinstance(V, OrthonormalBasis):
         V = OrthonormalBasis(np.array(V, dtype=np.float64))
     if V.d != Xm.shape[1]:
@@ -133,7 +134,7 @@ def dual_objective(X, w, k: int) -> float:
     differencing); on the simplex the value lies in [0, 1]. A negative or
     NaN weight raises ValueError.
     """
-    state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
+    state = top_k_eigenpairs(weighted_moment_matrix(as_unit_vector_set(X), w), k)
     return float(1.0 - state.eigenvalues.sum())
 
 
@@ -145,8 +146,9 @@ def dual_gradient(X, w, k: int) -> np.ndarray:
     whichever eigenbasis the decomposition returned. Every coordinate lies
     in [-1, 0]. The weights must be nonnegative but need not sum to 1.
     """
-    state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
-    return _gradient(_squared_projections(unit_matrix(X), state.basis.V))
+    Xm = as_unit_vector_set(X).X
+    state = top_k_eigenpairs(weighted_moment_matrix(Xm, w), k)
+    return _gradient(_squared_projections(Xm, state.basis.V))
 
 
 def default_step_size(n: int, T: int) -> float:
@@ -164,13 +166,30 @@ def default_step_size(n: int, T: int) -> float:
     return math.sqrt(2.0) / math.sqrt(float(n) * float(T))
 
 
-def _evaluate(Xm, M, k):
-    """Eigendecompose M = M(lam) and score its basis; the returned s feeds the next step."""
+@dataclass(frozen=True)
+class _Iterate:
+    """An evaluated iterate; dual is g(lam) clipped to [0, 1]."""
+
+    lam: np.ndarray
+    basis: OrthonormalBasis
+    report: DistortionReport
+    dual: float
+    degenerate: bool
+
+    def record(self, t: int, best: _Iterate) -> IterationRecord:
+        return IterationRecord(
+            t, self.dual, self.report.epsilon, best.report.epsilon, self.degenerate
+        )
+
+
+def _evaluate(Xm, M, lam, k):
+    """Eigendecompose M = M(lam) and score its basis. The squared
+    projections s are returned beside the iterate: they feed the next step."""
     state = top_k_eigenpairs(M, k)
     s = _squared_projections(Xm, state.basis.V)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
     degenerate = state.spectral_gap < DEGENERACY_TOL
-    return state, s, _distortion_report(s), dual, degenerate
+    return _Iterate(lam, state.basis, _distortion_report(s), dual, degenerate), s
 
 
 def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> EmbeddingResult:
@@ -181,8 +200,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     in best tracking, so the result never embeds worse than PCA. With
     T = 0 the run is evaluation-only and returns that solution directly.
     """
-    if not isinstance(X, UnitVectorSet):
-        X = UnitVectorSet(np.asarray(X, dtype=np.float64))
+    X = as_unit_vector_set(X)
     if not (1 <= k <= X.d):
         raise ValueError(f"k must be in [1, {X.d}], got {k}")
     Xm = X.X
@@ -194,66 +212,45 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     else:
         eta = float(cfg.step_size)
 
-    lam = np.full(n, 1.0 / n)
-    state, s, report, dual, degen = _evaluate(Xm, uniform_moment_matrix(X), k)
-    pca_report = report
-    best_eps, best_lam, best_basis, best_report = report.epsilon, lam, state.basis, report
-    best_dual = dual
-    trace = [IterationRecord(0, dual, report.epsilon, best_eps, degen)]
-
+    # The uniform weights as a zero-stride view: pca holds no length-n buffer.
+    pca, s = _evaluate(Xm, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
+    best = cur = pca
+    trace = [pca.record(0, best)]
     lam_sum = np.zeros(n)
     for t in range(1, T + 1):
-        lam = project_to_simplex(lam + eta * _gradient(s)).lam
+        lam = project_to_simplex(cur.lam + eta * _gradient(s)).lam
         lam_sum += lam
-        state, s, report, dual, degen = _evaluate(Xm, weighted_moment_matrix(Xm, lam), k)
-        if report.epsilon < best_eps:
-            best_eps, best_lam, best_basis, best_report = (
-                report.epsilon,
-                lam,
-                state.basis,
-                report,
-            )
-        best_dual = max(best_dual, dual)
-        trace.append(IterationRecord(t, dual, report.epsilon, best_eps, degen))
+        del cur, s  # spent: freed before the next moment build unless best or pca
+        cur, s = _evaluate(Xm, weighted_moment_matrix(Xm, lam), lam, k)
+        if cur.report.epsilon < best.report.epsilon:
+            best = cur
+        trace.append(cur.record(t, best))
 
-    average_record = None
+    records = list(trace)
     selected = "best"
-    sel_lam, sel_basis, sel_report = best_lam, best_basis, best_report
     if T >= 1:
-        lam_avg = lam_sum / T
-        avg_state, _, avg_report, avg_dual, avg_degen = _evaluate(
-            Xm, weighted_moment_matrix(Xm, lam_avg), k
-        )
-        best_dual = max(best_dual, avg_dual)
-        average_record = IterationRecord(
-            T, avg_dual, avg_report.epsilon, min(best_eps, avg_report.epsilon), avg_degen
-        )
+        lam_sum /= T  # in place: the average weights
+        avg, _ = _evaluate(Xm, weighted_moment_matrix(Xm, lam_sum), lam_sum, k)
         # Average wins ties: the best iterate is kept only on strict improvement.
-        if not (best_eps < avg_report.epsilon):
-            selected = "average"
-            sel_lam, sel_basis, sel_report = lam_avg, avg_state.basis, avg_report
+        if not (best.report.epsilon < avg.report.epsilon):
+            selected, best = "average", avg
+        records.append(avg.record(T, best))
 
-    n_degen = sum(r.degenerate for r in trace)
-    if average_record is not None:
-        n_degen += average_record.degenerate
+    n_degen = sum(r.degenerate for r in records)
     if n_degen:
-        logger.warning(
-            "%d of %d evaluated iterates had a degenerate top-%d eigenspace",
-            n_degen,
-            len(trace) + (average_record is not None),
-            k,
-        )
+        msg = "%d of %d evaluated iterates had a degenerate top-%d eigenspace"
+        logger.warning(msg, n_degen, len(records), k)
 
     return EmbeddingResult(
-        basis=sel_basis,
-        distortion=sel_report,
+        basis=best.basis,
+        distortion=best.report,
         trace=trace,
         selected_iterate=selected,
-        lambda_selected=SimplexWeights(sel_lam),
-        best_dual_value=best_dual,
+        lambda_selected=SimplexWeights(best.lam),
+        best_dual_value=max(r.dual_value for r in records),
         step_size=eta,
-        pca_distortion=pca_report,
-        average_record=average_record,
+        pca_distortion=pca.report,
+        average_record=records[-1] if T >= 1 else None,
         fingerprint=X.fingerprint(),
         degenerate_iterations=n_degen,
     )

@@ -17,7 +17,7 @@ import numpy as np
 from .ascent import EmbeddingResult
 from .errors import ContractError
 from .spectral import uniform_moment_matrix
-from .types import UnitVectorSet, unit_matrix
+from .types import as_unit_vector_set
 
 DEFAULT_RANK_TOL = 1e-10
 SANDWICH_TOL = 1e-8
@@ -54,14 +54,15 @@ def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
     Computed as sigma_i^2 = n mu_i from the eigenvalues mu_i of the d x d
     matrix M(uniform) = X'X / n rather than from an n x d SVD: n dwarfs d in
     pairwise mode, and a UnitVectorSet keeps the M(uniform) that the ascent
-    or PCA already built, so no row is read again. ``rank_tol`` must lie in
-    [0, 1): at 1 or above no singular value would count towards the rank.
+    or PCA already built, so no row is read again; raw rows are checked.
+    ``rank_tol`` must lie in [0, 1): at 1 or above no singular value would
+    count towards the rank.
     """
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank tolerance must be in [0, 1), got {rank_tol!r}")
-    n = unit_matrix(X).shape[0]
+    X = as_unit_vector_set(X)
     evals = np.linalg.eigvalsh(uniform_moment_matrix(X))[::-1]
-    sigma = np.sqrt(np.clip(n * evals, 0.0, None))
+    sigma = np.sqrt(np.clip(X.n * evals, 0.0, None))
     rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
     kappa = float(sigma[0] / sigma[rank - 1])
     return sigma, rank, kappa
@@ -69,8 +70,8 @@ def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
 
 def approximation_bound(X, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
     """Both spectrum-driven bounds on the achieved-vs-optimal ratio."""
+    X = as_unit_vector_set(X)
     sigma, rank, kappa = singular_spectrum(X, rank_tol)
-    n = unit_matrix(X).shape[0]
     spectrum_sum = float(np.square(sigma[:rank]).sum())
     note = None
     if rank == 1:
@@ -79,11 +80,10 @@ def approximation_bound(X, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
         bound_kappa = math.inf
         note = "rank-1 data: sigma_1^2 = n, approximation bounds are undefined"
     else:
-        denom_sigma = float(n) - sigma[0] ** 2
-        bound_sigma = float(n) / denom_sigma if denom_sigma > 0.0 else math.inf
+        denom_sigma = float(X.n) - sigma[0] ** 2
+        bound_sigma = float(X.n) / denom_sigma if denom_sigma > 0.0 else math.inf
         denom_kappa = 1.0 - kappa**2 / rank
         bound_kappa = 1.0 / denom_kappa if denom_kappa > 0.0 else math.inf
-    fp = X.fingerprint() if isinstance(X, UnitVectorSet) else ""
     return BoundReport(
         singular_values=sigma,
         rank=rank,
@@ -92,7 +92,7 @@ def approximation_bound(X, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
         bound_kappa=bound_kappa,
         spectrum_sum_check=spectrum_sum,
         note=note,
-        fingerprint=fp,
+        fingerprint=X.fingerprint(),
     )
 
 
@@ -107,7 +107,7 @@ def duality_sandwich_check(
     itself an error. A violated sandwich, however, is impossible and raises
     ContractError.
     """
-    if result.fingerprint and report.fingerprint and result.fingerprint != report.fingerprint:
+    if result.fingerprint != report.fingerprint:
         raise ValueError("result and bound report come from different data sets")
     eps = result.distortion.epsilon
     dual = result.best_dual_value

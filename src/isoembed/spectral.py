@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .types import (
     OrthonormalBasis,
-    UnitVectorSet,
+    as_unit_vector_set,
     first_bad_weight,
     unit_matrix,
     weights_vector,
@@ -50,6 +50,7 @@ def weighted_moment_matrix(X, w) -> np.ndarray:
     NaN weight raises ValueError naming its 1-based index. numpy computes
     A'A with BLAS syrk, which fills one triangle and mirrors it, so M is
     exactly symmetric. For unit rows and simplex weights, trace(M) = 1.
+    M needs no unit rows, so raw rows are taken as they are, unchecked.
     """
     Xm = unit_matrix(X)
     wv = weights_vector(w)
@@ -66,18 +67,16 @@ def uniform_moment_matrix(X) -> np.ndarray:
     """M(uniform) = weighted_moment_matrix(X, 1/n), returned read-only.
 
     Its top-k eigenvectors are the PCA basis (the ascent's t = 0 iterate),
-    and n times its eigenvalues are the squared singular values of X. A
-    UnitVectorSet builds it on first use and keeps it, as it keeps its
-    fingerprint: the frozen rows cannot change afterwards.
+    and n times its eigenvalues are the squared singular values of X. Raw
+    rows are checked; a UnitVectorSet builds the matrix on first use and
+    keeps it, as it keeps its fingerprint: its rows cannot change.
     """
-    M = X._uniform_moment if isinstance(X, UnitVectorSet) else None
-    if M is None:
-        n = unit_matrix(X).shape[0]
-        M = weighted_moment_matrix(X, np.full(n, 1.0 / n))
+    X = as_unit_vector_set(X)
+    if X._uniform_moment is None:
+        M = weighted_moment_matrix(X, np.full(X.n, 1.0 / X.n))
         M.flags.writeable = False
-        if isinstance(X, UnitVectorSet):
-            object.__setattr__(X, "_uniform_moment", M)
-    return M
+        object.__setattr__(X, "_uniform_moment", M)
+    return X._uniform_moment
 
 
 def _canonical_signs(V):

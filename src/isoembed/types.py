@@ -144,14 +144,6 @@ class SimplexWeights:
             raise ContractError(f"weights sum to {lam.sum():.12g}, not 1")
         object.__setattr__(self, "lam", _freeze(lam))
 
-    @classmethod
-    def uniform(cls, n: int) -> "SimplexWeights":
-        return cls(np.full(n, 1.0 / n))
-
-    @property
-    def n(self) -> int:
-        return self.lam.size
-
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
@@ -176,10 +168,6 @@ class OrthonormalBasis:
     def d(self) -> int:
         return self.V.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.V.shape[1]
-
 
 def first_bad_weight(w) -> str | None:
     """The error text for the first (1-based) negative or NaN weight of a
@@ -189,6 +177,20 @@ def first_bad_weight(w) -> str | None:
         return None
     i = int(np.argmax(~(w >= 0.0)))
     return f"{'NaN' if np.isnan(w[i]) else 'negative'} weight at index {i + 1}"
+
+
+def as_unit_vector_set(X) -> UnitVectorSet:
+    """X itself if it is a UnitVectorSet, else a UnitVectorSet of its rows.
+
+    A raw input is checked exactly as the constructor checks it, but on a
+    read-only view: a float64 C-contiguous array is neither copied nor
+    taken over, so the caller can keep writing to it.
+    """
+    if isinstance(X, UnitVectorSet):
+        return X
+    view = np.asarray(X, dtype=np.float64).view()
+    view.flags.writeable = False
+    return UnitVectorSet(view)
 
 
 def unit_matrix(X) -> np.ndarray:

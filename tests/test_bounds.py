@@ -169,3 +169,13 @@ def test_sandwich_check_rejects_mismatched_data():
     rep = ie.approximation_bound(X2)
     with pytest.raises(ValueError):
         ie.duality_sandwich_check(res, rep)
+
+
+def test_sandwich_check_compares_fingerprints_of_bounds_from_raw_rows():
+    rng = np.random.default_rng(69)
+    X, Y = unit_rows(rng, 20, 4), unit_rows(rng, 20, 4)
+    res = ie.run_projected_ascent(X, 2, ie.AscentConfig(T=5))
+    assert ie.approximation_bound(X.X.copy()).fingerprint == res.fingerprint
+    ie.duality_sandwich_check(res, ie.approximation_bound(X.X.copy()))
+    with pytest.raises(ValueError, match="different data sets"):
+        ie.duality_sandwich_check(res, ie.approximation_bound(Y.X.copy()))

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
+from isoembed.types import as_unit_vector_set
 from oracles import unit_rows
 
 
@@ -43,6 +44,43 @@ def test_float64_c_contiguous_input_is_taken_over_read_only(cls):
     for other in (np.eye(3, dtype=np.float32), np.asfortranarray(np.eye(3))):
         held = getattr(cls(other), "points" if cls is ie.PointSet else "X")
         assert not np.shares_memory(held, other) and other.flags.writeable
+
+
+# The public functions that take raw rows, each with the rest of its arguments.
+TAKES_ROWS = {
+    "primal_distortion": lambda X: ie.primal_distortion(X, np.eye(X.shape[1])[:, :1]),
+    "dual_objective": lambda X: ie.dual_objective(X, np.full(len(X), 1 / len(X)), 1),
+    "dual_gradient": lambda X: ie.dual_gradient(X, np.full(len(X), 1 / len(X)), 1),
+    "uniform_moment_matrix": ie.uniform_moment_matrix,
+    "pca_basis": lambda X: ie.pca_basis(X, 1),
+    "singular_spectrum": ie.singular_spectrum,
+    "approximation_bound": ie.approximation_bound,
+    "run_projected_ascent": lambda X: ie.run_projected_ascent(X, 1, ie.AscentConfig(T=2)),
+}
+
+
+@pytest.mark.parametrize("fn", TAKES_ROWS.values(), ids=TAKES_ROWS.keys())
+def test_raw_rows_are_checked_as_a_unit_vector_set_checks_them(fn):
+    # Unchecked, row 1 (norm 2) would give a dual value of -1/3, a bound_kappa
+    # of 4.5e15, a spectrum summing to 6 for n = 3 and a clipped phi of -3.
+    with pytest.raises(ie.ContractError, match="row 1 has norm 2; rows must be unit length"):
+        fn(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("fn", TAKES_ROWS.values(), ids=TAKES_ROWS.keys())
+def test_raw_rows_are_not_taken_over(fn):
+    X = unit_rows(np.random.default_rng(17), 12, 3).X.copy()
+    fn(X)
+    assert X.flags.writeable
+    X[0, 0] = 2.0
+
+
+def test_raw_rows_are_checked_on_a_view_not_a_copy():
+    X = unit_rows(np.random.default_rng(18), 12, 3).X.copy()
+    units = as_unit_vector_set(X)
+    assert np.shares_memory(units.X, X) and not units.X.flags.writeable
+    assert X.flags.writeable
+    assert as_unit_vector_set(units) is units
 
 
 def test_unit_vector_set_renormalizes_small_deviation():
@@ -85,8 +123,8 @@ def test_unit_vector_set_check_builds_no_full_size_temporary():
 
 
 def test_simplex_weights_validation():
-    w = ie.SimplexWeights.uniform(4)
-    assert w.n == 4
+    w = ie.SimplexWeights(np.full(4, 0.25))
+    assert w.lam.shape == (4,)
     with pytest.raises(ie.ContractError):
         ie.SimplexWeights(np.array([1.1, -0.1]))
     with pytest.raises(ie.ContractError):
