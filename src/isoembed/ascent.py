@@ -29,16 +29,18 @@ DEGENERACY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Knobs for run_projected_ascent: the iteration count ``T`` and
-    ``step_size``, a positive finite float or "auto" for sqrt(2)/sqrt(nT).
+    """Knobs for run_projected_ascent: the iteration count ``T``, an int
+    >= 0 (a bool is refused), and ``step_size``, a positive finite float or
+    "auto" for sqrt(2)/sqrt(nT).
     """
 
     T: int = 120
     step_size: float | str = "auto"
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError(f"iteration count must be >= 0, got {self.T}")
+        T = self.T
+        if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
+            raise ValueError(f"iteration count must be an integer >= 0, got {T!r}")
         if self.step_size != "auto":
             try:
                 ok = 0.0 < float(self.step_size) < math.inf
@@ -217,9 +219,11 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     best = cur = pca
     trace = [pca.record(0, best)]
     lam_sum = np.zeros(n)
+    support = 0  # summed over the steps: the moment kernel reads these rows
     for t in range(1, T + 1):
         lam = project_to_simplex(cur.lam + eta * _gradient(s)).lam
         lam_sum += lam
+        support += np.count_nonzero(lam)
         del cur, s  # spent: freed before the next moment build unless best or pca
         cur, s = _evaluate(Xm, weighted_moment_matrix(Xm, lam), lam, k)
         if cur.report.epsilon < best.report.epsilon:
@@ -230,6 +234,10 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     selected = "best"
     if T >= 1:
         lam_sum /= T  # in place: the average weights
+        logger.info(
+            "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
+            support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
+        )
         avg, _ = _evaluate(Xm, weighted_moment_matrix(Xm, lam_sum), lam_sum, k)
         # Average wins ties: the best iterate is kept only on strict improvement.
         if not (best.report.epsilon < avg.report.epsilon):

@@ -50,4 +50,5 @@ class ShapeError(EmbeddingError):
 
 class ContractError(EmbeddingError):
     """A documented invariant was violated (non-orthonormal basis,
-    asymmetric matrix given to ``top_k_eigenpairs``, weak-duality breach, ...)."""
+    non-finite or asymmetric matrix given to ``top_k_eigenpairs``,
+    weak-duality breach, ...)."""

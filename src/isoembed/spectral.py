@@ -2,8 +2,9 @@
 
 M(lambda) = sum_i lambda_i x_i x_i' is the d x d PSD matrix whose top-k
 eigenpairs drive both the dual objective and the recovered embedding. n can
-be huge, but everything here works on the d x d matrix, so a dense
-symmetric eigendecomposition is the right tool.
+be huge, but M is built from the rows of positive weight only, so its cost
+follows the support of lambda, and everything after it works on the d x d
+matrix, where a dense symmetric eigendecomposition is the right tool.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ def weighted_moment_matrix(X, w) -> np.ndarray:
     """M = sum_i w_i x_i x_i' = A'A with A = diag(sqrt(w)) X, a d x d PSD matrix.
 
     The weights must be nonnegative but need not sum to 1; a negative or
-    NaN weight raises ValueError naming its 1-based index. numpy computes
-    A'A with BLAS syrk, which fills one triangle and mirrors it, so M is
-    exactly symmetric. For unit rows and simplex weights, trace(M) = 1.
+    NaN weight raises ValueError naming its 1-based index. A holds only the
+    rows of positive weight: a zero-weight row adds exactly 0 to M, so it is
+    never read, and the time and temporary memory follow the support of w.
+    With every weight positive A is every row in order. numpy
+    computes A'A with BLAS syrk, which fills one triangle and mirrors it, so
+    M is exactly symmetric. For unit rows and simplex weights, trace(M) = 1.
     M needs no unit rows, so raw rows are taken as they are, unchecked.
     """
     Xm = unit_matrix(X)
@@ -59,7 +63,9 @@ def weighted_moment_matrix(X, w) -> np.ndarray:
     bad = first_bad_weight(wv)
     if bad:
         raise ValueError(bad)
-    A = Xm * np.sqrt(wv)[:, None]
+    keep = wv > 0.0
+    A = np.compress(keep, Xm, axis=0)
+    A *= np.sqrt(wv[keep])[:, None]
     return A.T @ A
 
 
@@ -94,6 +100,8 @@ def top_k_eigenpairs(M, k: int) -> SpectralState:
 
     Eigenvalues come back in descending order; each eigenvector's
     largest-magnitude entry is made positive so repeated runs agree bitwise.
+    A matrix with a NaN or infinite entry, or one that is not symmetric to
+    SYMMETRY_TOL, raises ContractError.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -101,8 +109,10 @@ def top_k_eigenpairs(M, k: int) -> SpectralState:
     d = M.shape[0]
     if not (1 <= k <= d):
         raise ValueError(f"k must be in [1, {d}], got {k}")
+    if not np.isfinite(M).all():
+        raise ContractError("matrix contains non-finite entries")
     asym = np.abs(M - M.T).max()
-    if asym > SYMMETRY_TOL:
+    if not asym <= SYMMETRY_TOL:  # written so that a NaN asym fails it
         raise ContractError(f"matrix is not symmetric (max |M - M'| = {asym:.3g})")
     evals, evecs = np.linalg.eigh(M)
     evals = evals[::-1]

@@ -194,8 +194,9 @@ def as_unit_vector_set(X) -> UnitVectorSet:
 
 
 def unit_matrix(X) -> np.ndarray:
-    """The raw n x d array behind a UnitVectorSet (or array passthrough)."""
-    return X.X if isinstance(X, UnitVectorSet) else np.asarray(X, dtype=np.float64)
+    """The raw n x d array behind a UnitVectorSet, or raw rows as a float
+    array, refused with ShapeError unless 2-d and non-empty."""
+    return X.X if isinstance(X, UnitVectorSet) else _as_float_matrix(X, "X")
 
 
 def weights_vector(w) -> np.ndarray:

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
-from oracles import fd_dual_gradient, random_simplex_point, unit_rows
+from oracles import clustered_rows, fd_dual_gradient, random_simplex_point, unit_rows
 
 
 # ---------------------------------------------------------------- objective
@@ -136,6 +138,21 @@ def test_ascent_config_validation():
         with pytest.raises(ValueError):
             ie.AscentConfig(step_size=bad)
     ie.AscentConfig(T=0)  # evaluation-only runs are fine
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [2.5, True, False, "3", None, -1, np.int64(-2)],
+    ids=["float", "true", "false", "str", "none", "negative", "negative-np-int64"],
+)
+def test_iteration_count_must_be_an_integer(bad):
+    message = f"iteration count must be an integer >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ie.AscentConfig(T=bad)
+
+
+def test_iteration_count_accepts_numpy_integers():
+    assert ie.AscentConfig(T=np.int64(3)).T == 3
 
 
 # ---------------------------------------------------------------- driver
@@ -297,3 +314,58 @@ def test_degenerate_spectrum_is_flagged_not_fatal():
     assert res.degenerate_iterations >= 1
     # dual values are still valid lower bounds
     assert res.best_dual_value <= res.distortion.epsilon + 1e-8
+
+
+def test_run_logs_the_support_of_lambda(caplog, monkeypatch):
+    from isoembed import ascent
+
+    lams = []
+    real = ascent.project_to_simplex
+
+    def recording(y):
+        w = real(y)
+        lams.append(w.lam)
+        return w
+
+    monkeypatch.setattr(ascent, "project_to_simplex", recording)
+    X = clustered_rows(np.random.default_rng(46), 200, 6)
+    with caplog.at_level(logging.INFO, logger="isoembed.ascent"):
+        ie.run_projected_ascent(X, 2, ie.AscentConfig(T=10))
+    supports = np.count_nonzero(lams, axis=1)
+    assert len(lams) == 10 and supports.min() < X.n
+    mean, avg = supports.sum() / (10 * X.n), np.count_nonzero(np.sum(lams, axis=0)) / X.n
+    expected = f"lambda support: mean {mean:.4f} of n = 200 over 10 steps, average iterate {avg:.4f}"
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [expected]
+
+
+def test_run_whose_lambda_loses_support_matches_a_dense_moment(monkeypatch):
+    # The same run with M(lambda) summed over every row by einsum. einsum adds
+    # in another order, so the runs agree to roundoff, not bitwise; ten steps
+    # keep the ascent's growth of last-bit differences far below 1e-12.
+    from isoembed import ascent
+
+    rng = np.random.default_rng(46)
+    X = clustered_rows(rng, 200, 6)
+    cfg = ie.AscentConfig(T=10)
+    ref = ie.run_projected_ascent(X, 2, cfg)
+
+    supports = []
+
+    def dense_moment(Xm, w):
+        w = np.asarray(w)
+        supports.append(np.count_nonzero(w) / w.size)
+        return np.einsum("i,ij,ik->jk", w, Xm, Xm)
+
+    monkeypatch.setattr(ascent, "weighted_moment_matrix", dense_moment)
+    res = ie.run_projected_ascent(X, 2, cfg)
+    assert len(supports) == cfg.T + 1 and min(supports) < 0.5
+
+    def values(r):
+        return [(x.dual_value, x.primal_epsilon, x.best_epsilon) for x in r.trace + [r.average_record]]
+
+    assert np.abs(np.subtract(values(ref), values(res))).max() <= 1e-12
+    assert [x.degenerate for x in ref.trace] == [x.degenerate for x in res.trace]
+    assert ref.selected_iterate == res.selected_iterate
+    assert np.abs(ref.lambda_selected.lam - res.lambda_selected.lam).max() <= 1e-12
+    assert abs(ref.distortion.epsilon - res.distortion.epsilon) <= 1e-12
+    assert abs(ref.best_dual_value - res.best_dual_value) <= 1e-12

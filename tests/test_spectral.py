@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,10 @@ def test_moment_matrix_axis_aligned():
 def test_moment_matrix_shape_mismatch():
     with pytest.raises(ie.ShapeError):
         ie.weighted_moment_matrix(np.eye(2), np.array([0.5, 0.25, 0.25]))
+    with pytest.raises(ie.ShapeError, match="X must be a 2-d matrix"):
+        ie.weighted_moment_matrix(np.ones(3), np.full(3, 1.0 / 3.0))
+    with pytest.raises(ie.ShapeError, match="X must be non-empty"):
+        ie.weighted_moment_matrix(np.ones((0, 3)), np.ones(0))
 
 
 def test_moment_matrix_trace_and_psd():
@@ -39,6 +45,54 @@ def test_moment_matrix_trace_and_psd():
         assert np.array_equal(M, M.T)
         reference = np.einsum("i,ij,ik->jk", lam, X.X, X.X)
         assert np.abs(M - reference).max() <= 1e-14
+
+
+def test_moment_matrix_at_full_support_is_bitwise_the_all_rows_product():
+    rng = np.random.default_rng(26)
+    for n, d in [(1, 1), (7, 3), (300, 12), (2000, 40)]:
+        X = unit_rows(rng, n, d).X
+        w = random_simplex_point(rng, n)
+        assert (w > 0.0).all()
+        A = X * np.sqrt(w)[:, None]
+        assert np.array_equal(ie.weighted_moment_matrix(X, w), A.T @ A)
+
+
+def test_moment_matrix_reads_only_rows_of_positive_weight():
+    rng = np.random.default_rng(27)
+    X = unit_rows(rng, 400, 6).X.copy()
+    w = random_simplex_point(rng, 400)
+    w[rng.random(400) < 0.8] = 0.0
+    w[:3] = [0.0, -0.0, 0.0]
+    w /= w.sum()
+    keep = w > 0.0
+    M = ie.weighted_moment_matrix(X, w)
+    assert np.array_equal(M, ie.weighted_moment_matrix(X[keep], w[keep]))
+    assert np.abs(M - np.einsum("i,ij,ik->jk", w, X, X)).max() <= 1e-14
+    # a zero-weight row is never read, so even a raw NaN row there leaves M alone
+    X[:3] = np.nan
+    assert np.array_equal(ie.weighted_moment_matrix(X, w), M)
+
+
+def test_moment_matrix_of_all_zero_weights_is_zero():
+    X = unit_rows(np.random.default_rng(28), 10, 4)
+    M = ie.weighted_moment_matrix(X, np.zeros(10))
+    assert M.shape == (4, 4) and np.array_equal(M, np.zeros((4, 4)))
+
+
+def test_moment_matrix_memory_follows_the_support():
+    rng = np.random.default_rng(29)
+    n, d = 20000, 20
+    X = unit_rows(rng, n, d)
+    w = np.zeros(n)
+    w[rng.choice(n, n // 10, replace=False)] = 1.0 / (n // 10)
+    tracemalloc.start()
+    try:
+        ie.weighted_moment_matrix(X, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A built from every row would peak near 1.07x the input; the support needs about 0.13x
+    assert peak <= 0.25 * 8 * n * d
 
 
 @pytest.mark.parametrize(
@@ -104,6 +158,19 @@ def test_top_k_rejects_asymmetry_and_bad_k():
         ie.top_k_eigenpairs(np.eye(2), 3)
     with pytest.raises(ValueError):
         ie.top_k_eigenpairs(np.eye(2), 0)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 0): np.nan}, {(0, 1): np.inf, (1, 0): np.inf}],
+    ids=["nan-diagonal", "inf-symmetric-pair"],
+)
+def test_top_k_rejects_non_finite_matrices(entries):
+    M = np.eye(3)
+    for ij, v in entries.items():
+        M[ij] = v
+    with pytest.raises(ie.ContractError, match="matrix contains non-finite entries"):
+        ie.top_k_eigenpairs(M, 1)
 
 
 def test_spectral_invariants_random():
