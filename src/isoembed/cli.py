@@ -247,7 +247,7 @@ def run_cli(argv=None) -> int:
         )
         if args.trace is not None:
             write_trace(result, args.trace)
-    except (EmbeddingError, OSError) as exc:
+    except (EmbeddingError, OSError, MemoryError) as exc:
         print(f"embed: error: {exc}", file=sys.stderr)
         return 1
     logger.info("finished in %.3f s", time.perf_counter() - t_start)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 
 import numpy as np
 
@@ -36,11 +37,11 @@ def _parse_line(text, lineno):
 def load_points(path, skip_header: bool = False) -> PointSet:
     """Read an r x d matrix of points from a UTF-8 text file.
 
-    One point per row; a line containing a comma is split on commas, any
-    other line on whitespace. Lines starting with ``#`` and blank lines are
-    ignored. Raises LoadError naming the 1-based line of any malformed row.
+    One point per row, split on commas if the line has one, else on whitespace;
+    ``#`` lines and blank lines are skipped. LoadError names the 1-based line of a
+    malformed row. Values go into one float64 buffer, 8 bytes each, not copied.
     """
-    rows = []
+    flat = array("d")
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -53,15 +54,16 @@ def load_points(path, skip_header: bool = False) -> PointSet:
                 skip_header = False
                 continue
             values = _parse_line(text, lineno)
-            if rows and len(values) != len(rows[0]):
+            if flat and len(values) != width:
                 raise LoadError(
-                    f"ragged row with {len(values)} cells, expected {len(rows[0])}",
+                    f"ragged row with {len(values)} cells, expected {width}",
                     line=lineno,
                 )
-            rows.append(values)
-    if not rows:
+            flat.extend(values)
+            width = len(values)
+    if not flat:
         raise LoadError("no data rows found (empty input)")
-    return PointSet(np.array(rows, dtype=np.float64))
+    return PointSet(np.frombuffer(flat).reshape(-1, width))
 
 
 def normalize_rows(M) -> UnitVectorSet:
@@ -83,29 +85,28 @@ def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> UnitV
     """Normalized pairwise differences (u_i - u_j)/||u_i - u_j|| for i < j.
 
     Pairs are emitted in row-major order over (i, j), giving C(r, 2) unit
-    rows. Coincident points make a pair's difference zero; under the
-    ``error`` policy the first such pair (1-based) raises
-    CoincidentPairError, under ``drop`` those pairs are omitted with a
-    logged warning.
+    rows written into one C(r, 2) x d output; temporaries are one point's
+    differences (at most (r - 1) x d) and norms. Coincident points make a pair's
+    difference zero; under ``error`` the first such pair (1-based) raises
+    CoincidentPairError, under ``drop`` they are omitted with a warning.
     """
     if dedup_policy not in ("error", "drop"):
         raise ValueError(f"unknown dedup policy {dedup_policy!r}")
     if P.r < 2:
         raise ShapeError("need at least 2 points to form pairwise differences")
-    ii, jj = np.triu_indices(P.r, k=1)
-    diffs = P.points[ii]
-    diffs -= P.points[jj]
-    norms = np.linalg.norm(diffs, axis=1)
-    coincident = norms == 0.0
-    if coincident.any():
-        first = int(np.argmax(coincident))
-        if dedup_policy == "error":
-            raise CoincidentPairError((int(ii[first]) + 1, int(jj[first]) + 1))
-        keep = ~coincident
-        dropped = int(coincident.sum())
-        logger.warning("dropped %d coincident pair(s) of %d", dropped, norms.size)
-        diffs, norms = diffs[keep], norms[keep]
-        if diffs.shape[0] == 0:
-            raise CoincidentPairError((int(ii[0]) + 1, int(jj[0]) + 1))
-    diffs /= norms[:, None]
-    return UnitVectorSet(diffs)
+    out = np.empty((P.r * (P.r - 1) // 2, P.d))
+    n = 0
+    for i in range(P.r - 1):
+        diffs = P.points[i] - P.points[i + 1 :]
+        norms = np.linalg.norm(diffs, axis=1)
+        if not norms.all():
+            if dedup_policy == "error":
+                raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(norms))))
+            diffs, norms = diffs[norms > 0], norms[norms > 0]
+        np.divide(diffs, norms[:, None], out=out[n : n + norms.size])
+        n += norms.size
+    if n < len(out):
+        logger.warning("dropped %d coincident pair(s) of %d", len(out) - n, len(out))
+        if n == 0:
+            raise CoincidentPairError((1, 2))
+    return UnitVectorSet(out[:n])

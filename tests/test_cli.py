@@ -277,6 +277,18 @@ def test_unwritable_out_path_exits_1(tmp_path, small_input, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_refused_allocation_exits_1(small_input, capsys, monkeypatch):
+    from isoembed import cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.3 TiB for an array")
+
+    monkeypatch.setattr(cli, "pairwise_unit_differences", refuse)
+    rc = run_cli(["--input", str(small_input), "--k", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "embed: error: Unable to allocate 37.3 TiB for an array\n"
+
+
 def test_fresh_processes_write_identical_bytes(tmp_path):
     # the README's contract: same build and BLAS thread count, same bytes
     rng = np.random.default_rng(71)

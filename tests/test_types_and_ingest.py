@@ -224,6 +224,21 @@ def test_load_points_empty_file(tmp_path):
         ie.load_points(f)
 
 
+def test_load_points_peak_memory_is_the_output(tmp_path):
+    # Parsed values go into one float64 buffer that the PointSet wraps, so
+    # the peak is the output plus one line's values and the buffer's slack.
+    f = tmp_path / "pts.csv"
+    np.savetxt(f, np.random.default_rng(18).standard_normal((2000, 50)), fmt="%.17g", delimiter=",")
+    tracemalloc.start()
+    try:
+        ps = ie.load_points(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.points.shape == (2000, 50)
+    assert peak <= 1.5 * ps.points.nbytes
+
+
 # Files the parser must accept: each data row on its own line with a
 # per-line delimiter, between comment and blank lines, after an optional
 # header. Rows are written with 17 significant digits, so parsing is exact.
@@ -350,6 +365,14 @@ def test_pairwise_coincident_error_names_pair():
     with pytest.raises(ie.CoincidentPairError) as exc:
         ie.pairwise_unit_differences(P, dedup_policy="error")
     assert exc.value.pair == (1, 3)
+    # The first coincidence in row-major order is past point 1's pairs,
+    # and a later point's pairs hold another one.
+    pts = np.random.default_rng(17).standard_normal((10, 3))
+    pts[7] = pts[2]
+    pts[5] = pts[4]
+    with pytest.raises(ie.CoincidentPairError) as exc:
+        ie.pairwise_unit_differences(ie.PointSet(pts), dedup_policy="error")
+    assert exc.value.pair == (3, 8)
 
 
 def test_pairwise_drop_policy_drops_and_warns(caplog):
@@ -397,18 +420,28 @@ def test_pairwise_matches_reference_bitwise():
     assert u.X.tobytes() == _row_major_pairs(pts).tobytes()
 
 
-def test_pairwise_drop_matches_reference_bitwise():
-    pts = np.random.default_rng(14).standard_normal((12, 9))
-    pts[7] = pts[2]
-    pts[11] = pts[2]
-    u = ie.pairwise_unit_differences(ie.PointSet(pts), dedup_policy="drop")
-    assert u.n == 12 * 11 // 2 - 3
-    assert u.X.tobytes() == _row_major_pairs(pts, drop=True).tobytes()
+def test_pairwise_drop_matches_reference_bitwise(caplog):
+    rng = np.random.default_rng(14)
+    # Points 3 = 8 = 12 coincide in three pairs; points 11 = 12 make the
+    # one pair of the last block, point 11's, coincident.
+    repeated = rng.standard_normal((12, 9))
+    repeated[7] = repeated[2]
+    repeated[11] = repeated[2]
+    last = rng.standard_normal((12, 9))
+    last[11] = last[10]
+    for pts, dropped in ((repeated, 3), (last, 1)):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            u = ie.pairwise_unit_differences(ie.PointSet(pts), dedup_policy="drop")
+        assert u.n == 12 * 11 // 2 - dropped
+        assert u.X.tobytes() == _row_major_pairs(pts, drop=True).tobytes()
+        assert caplog.messages == [f"dropped {dropped} coincident pair(s) of 66"]
 
 
-def test_pairwise_peak_memory_is_one_extra_copy():
-    # The build needs the output plus one n x d temporary; the pair index
-    # and norm vectors add O(n), about 0.13x of the output at d = 40.
+def test_pairwise_peak_memory_is_the_output():
+    # The output is allocated once; one point's differences and norms,
+    # about 0.01x of the output at r = 300, are the only temporaries, and
+    # the UnitVectorSet check adds a few length-n vectors.
     P = ie.PointSet(np.random.default_rng(15).standard_normal((300, 40)))
     tracemalloc.start()
     try:
@@ -416,4 +449,4 @@ def test_pairwise_peak_memory_is_one_extra_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * u.X.nbytes
+    assert peak <= 1.25 * u.X.nbytes
