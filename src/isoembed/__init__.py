@@ -33,6 +33,7 @@ from .errors import (
     ShapeError,
 )
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
+from .pairs import PairDifferenceSet
 from .simplex import is_on_simplex, project_to_simplex
 from .spectral import (
     SpectralState,
@@ -41,6 +42,7 @@ from .spectral import (
     weighted_moment_matrix,
 )
 from .types import (
+    DirectionSet,
     OrthonormalBasis,
     PointSet,
     SimplexWeights,
@@ -56,12 +58,14 @@ __all__ = [
     "CoincidentPairError",
     "ContractError",
     "DegenerateVectorError",
+    "DirectionSet",
     "DistortionReport",
     "EmbeddingError",
     "EmbeddingResult",
     "IterationRecord",
     "LoadError",
     "OrthonormalBasis",
+    "PairDifferenceSet",
     "PointSet",
     "SandwichDiagnostic",
     "ShapeError",

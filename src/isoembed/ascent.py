@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeError
 from .simplex import project_to_simplex
 from .spectral import top_k_eigenpairs, uniform_moment_matrix, weighted_moment_matrix
-from .types import OrthonormalBasis, SimplexWeights, UnitVectorSet, as_unit_vector_set
+from .types import DirectionSet, OrthonormalBasis, SimplexWeights, as_unit_vector_set
 
 logger = logging.getLogger(__name__)
 
@@ -91,10 +91,9 @@ class EmbeddingResult:
     degenerate_iterations: int = 0
 
 
-def _squared_projections(Xm, Vm):
-    """s_i = ||V'x_i||^2, the one X @ V product per iterate: phi = 1 - s, g = -s."""
-    Y = Xm @ Vm
-    return np.einsum("ij,ij->i", Y, Y)
+def _squared_projections(X, Vm):
+    """s_i = ||V'x_i||^2, the one projection pass per iterate: phi = 1 - s, g = -s."""
+    return X.sq_proj(Vm)
 
 
 def _distortion_report(s) -> DistortionReport:
@@ -120,12 +119,12 @@ def primal_distortion(X, V) -> DistortionReport:
     attaining it (0-based). V must have orthonormal columns; a raw array is
     checked by building an OrthonormalBasis from a copy of it.
     """
-    Xm = as_unit_vector_set(X).X
+    X = as_unit_vector_set(X)
     if not isinstance(V, OrthonormalBasis):
         V = OrthonormalBasis(np.array(V, dtype=np.float64))
-    if V.d != Xm.shape[1]:
-        raise ShapeError(f"basis has shape {V.V.shape}, expected ({Xm.shape[1]}, k)")
-    return _distortion_report(_squared_projections(Xm, V.V))
+    if V.d != X.d:
+        raise ShapeError(f"basis has shape {V.V.shape}, expected ({X.d}, k)")
+    return _distortion_report(_squared_projections(X, V.V))
 
 
 def dual_objective(X, w, k: int) -> float:
@@ -148,9 +147,9 @@ def dual_gradient(X, w, k: int) -> np.ndarray:
     whichever eigenbasis the decomposition returned. Every coordinate lies
     in [-1, 0]. The weights must be nonnegative but need not sum to 1.
     """
-    Xm = as_unit_vector_set(X).X
-    state = top_k_eigenpairs(weighted_moment_matrix(Xm, w), k)
-    return _gradient(_squared_projections(Xm, state.basis.V))
+    X = as_unit_vector_set(X)
+    state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
+    return _gradient(_squared_projections(X, state.basis.V))
 
 
 def default_step_size(n: int, T: int) -> float:
@@ -184,17 +183,17 @@ class _Iterate:
         )
 
 
-def _evaluate(Xm, M, lam, k):
+def _evaluate(X, M, lam, k):
     """Eigendecompose M = M(lam) and score its basis. The squared
     projections s are returned beside the iterate: they feed the next step."""
     state = top_k_eigenpairs(M, k)
-    s = _squared_projections(Xm, state.basis.V)
+    s = _squared_projections(X, state.basis.V)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
     degenerate = state.spectral_gap < DEGENERACY_TOL
     return _Iterate(lam, state.basis, _distortion_report(s), dual, degenerate), s
 
 
-def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> EmbeddingResult:
+def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> EmbeddingResult:
     """Algorithm driver: uniform start, T projected ascent steps, then the
     better of the best iterate and the average iterate.
 
@@ -205,7 +204,6 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
     X = as_unit_vector_set(X)
     if not (1 <= k <= X.d):
         raise ValueError(f"k must be in [1, {X.d}], got {k}")
-    Xm = X.X
     n = X.n
     T = cfg.T
 
@@ -215,7 +213,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
         eta = float(cfg.step_size)
 
     # The uniform weights as a zero-stride view: pca holds no length-n buffer.
-    pca, s = _evaluate(Xm, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
+    pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
     best = cur = pca
     trace = [pca.record(0, best)]
     lam_sum = np.zeros(n)
@@ -225,7 +223,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
         lam_sum += lam
         support += np.count_nonzero(lam)
         del cur, s  # spent: freed before the next moment build unless best or pca
-        cur, s = _evaluate(Xm, weighted_moment_matrix(Xm, lam), lam, k)
+        cur, s = _evaluate(X, X.moment(lam), lam, k)
         if cur.report.epsilon < best.report.epsilon:
             best = cur
         trace.append(cur.record(t, best))
@@ -238,7 +236,7 @@ def run_projected_ascent(X: UnitVectorSet, k: int, cfg: AscentConfig) -> Embeddi
             "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
             support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
         )
-        avg, _ = _evaluate(Xm, weighted_moment_matrix(Xm, lam_sum), lam_sum, k)
+        avg, _ = _evaluate(X, X.moment(lam_sum), lam_sum, k)
         # Average wins ties: the best iterate is kept only on strict improvement.
         if not (best.report.epsilon < avg.report.epsilon):
             selected, best = "average", avg

@@ -53,7 +53,7 @@ def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
 
     Computed as sigma_i^2 = n mu_i from the eigenvalues mu_i of the d x d
     matrix M(uniform) = X'X / n rather than from an n x d SVD: n dwarfs d in
-    pairwise mode, and a UnitVectorSet keeps the M(uniform) that the ascent
+    pairwise mode, and a DirectionSet keeps the M(uniform) that the ascent
     or PCA already built, so no row is read again; raw rows are checked.
     ``rank_tol`` must lie in [0, 1): at 1 or above no singular value would
     count towards the rank.

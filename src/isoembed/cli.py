@@ -23,7 +23,7 @@ from .baselines import random_orthonormal_basis
 from .bounds import DEFAULT_RANK_TOL, approximation_bound
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
-from .types import ROW_NORM_TOL, UnitVectorSet
+from .types import ROW_NORM_TOL, DirectionSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
 
@@ -179,16 +179,18 @@ def build_parser():
     return p
 
 
-def _subsample_pairs(units: UnitVectorSet, max_pairs: int, seed: int) -> UnitVectorSet:
+def _subsample_pairs(units: DirectionSet, max_pairs: int, seed: int) -> DirectionSet:
+    """A seeded uniform sample of max_pairs directions, built densely from
+    their indices alone; all of them when there are no more than that."""
     if max_pairs <= 0 or units.n <= max_pairs:
         return units
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(units.n, size=max_pairs, replace=False))
     logger.warning("subsampled %d of %d pairs", max_pairs, units.n)
-    return UnitVectorSet(units.X[keep])
+    return UnitVectorSet(units.rows(keep))
 
 
-def _build_units(args) -> UnitVectorSet:
+def _build_units(args) -> DirectionSet:
     points = load_points(args.input, skip_header=args.header)
     if args.mode == "pairwise":
         policy = "drop" if args.dedup else "error"

@@ -1,5 +1,5 @@
 """Dataset ingestion: file parsing, row normalization and the pairwise
-unit-difference construction that turns points into directions."""
+unit differences that turn points into directions."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from array import array
 import numpy as np
 
 from .errors import CoincidentPairError, DegenerateVectorError, LoadError, ShapeError
-from .types import PointSet, UnitVectorSet
+from .pairs import DenseRowsNeeded, PairDifferenceSet, point_blocks
+from .types import DirectionSet, PointSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
 
@@ -81,27 +82,36 @@ def normalize_rows(M) -> UnitVectorSet:
     return UnitVectorSet(M / norms[:, None])
 
 
-def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> UnitVectorSet:
+def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> DirectionSet:
     """Normalized pairwise differences (u_i - u_j)/||u_i - u_j|| for i < j.
 
-    Pairs are emitted in row-major order over (i, j), giving C(r, 2) unit
-    rows written into one C(r, 2) x d output; temporaries are one point's
-    differences (at most (r - 1) x d) and norms. Coincident points make a pair's
-    difference zero; under ``error`` the first such pair (1-based) raises
-    CoincidentPairError, under ``drop`` they are omitted with a warning.
+    Pairs are ordered row-major over (i, j), giving C(r, 2) unit directions,
+    held implicitly as a ``PairDifferenceSet``: the points and one float
+    per pair. Coincident points make a pair's difference zero; under
+    ``error`` the first such pair (1-based) raises CoincidentPairError,
+    under ``drop`` they are omitted with a warning, and the rows that remain
+    are built into one dense ``UnitVectorSet``.
     """
     if dedup_policy not in ("error", "drop"):
         raise ValueError(f"unknown dedup policy {dedup_policy!r}")
-    if P.r < 2:
-        raise ShapeError("need at least 2 points to form pairwise differences")
-    out = np.empty((P.r * (P.r - 1) // 2, P.d))
+    try:
+        return PairDifferenceSet(P)
+    except CoincidentPairError:
+        if dedup_policy == "error":
+            raise
+    except DenseRowsNeeded:
+        pass
+    return _dense_pairs(P.points)
+
+
+def _dense_pairs(P) -> UnitVectorSet:
+    """The nonzero pair rows written into one C(r, 2) x d output, coincident
+    pairs dropped with a warning; temporaries are one point's differences
+    (at most (r - 1) x d) and norms."""
+    out = np.empty((P.shape[0] * (P.shape[0] - 1) // 2, P.shape[1]))
     n = 0
-    for i in range(P.r - 1):
-        diffs = P.points[i] - P.points[i + 1 :]
-        norms = np.linalg.norm(diffs, axis=1)
+    for _, _, diffs, norms in point_blocks(P):
         if not norms.all():
-            if dedup_policy == "error":
-                raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(norms))))
             diffs, norms = diffs[norms > 0], norms[norms > 0]
         np.divide(diffs, norms[:, None], out=out[n : n + norms.size])
         n += norms.size

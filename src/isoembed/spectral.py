@@ -2,9 +2,10 @@
 
 M(lambda) = sum_i lambda_i x_i x_i' is the d x d PSD matrix whose top-k
 eigenpairs drive both the dual objective and the recovered embedding. n can
-be huge, but M is built from the rows of positive weight only, so its cost
-follows the support of lambda, and everything after it works on the d x d
-matrix, where a dense symmetric eigendecomposition is the right tool.
+be huge, but dense rows build M from the rows of positive weight only, and
+pair directions build it from an r x r Laplacian of their points.
+Everything after it works on the d x d matrix, where a dense symmetric
+eigendecomposition is the right tool.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .types import (
+    DirectionSet,
     OrthonormalBasis,
+    as_float_matrix,
     as_unit_vector_set,
     first_bad_weight,
-    unit_matrix,
+    row_moment,
     weights_vector,
 )
 
@@ -54,19 +57,22 @@ def weighted_moment_matrix(X, w) -> np.ndarray:
     With every weight positive A is every row in order. numpy
     computes A'A with BLAS syrk, which fills one triangle and mirrors it, so
     M is exactly symmetric. For unit rows and simplex weights, trace(M) = 1.
-    M needs no unit rows, so raw rows are taken as they are, unchecked.
+    M needs no unit rows, so raw rows are taken as they are, unchecked. A
+    DirectionSet builds M itself (``DirectionSet.moment``) once the weights
+    are checked.
     """
-    Xm = unit_matrix(X)
+    if isinstance(X, DirectionSet):
+        n, moment = X.n, X.moment
+    else:
+        Xm = as_float_matrix(X, "X")
+        n, moment = Xm.shape[0], lambda w: row_moment(Xm, w)
     wv = weights_vector(w)
-    if wv.ndim != 1 or wv.size != Xm.shape[0]:
-        raise ShapeError(f"weight vector has length {wv.size}, expected {Xm.shape[0]}")
+    if wv.ndim != 1 or wv.size != n:
+        raise ShapeError(f"weight vector has length {wv.size}, expected {n}")
     bad = first_bad_weight(wv)
     if bad:
         raise ValueError(bad)
-    keep = wv > 0.0
-    A = np.compress(keep, Xm, axis=0)
-    A *= np.sqrt(wv[keep])[:, None]
-    return A.T @ A
+    return moment(wv)
 
 
 def uniform_moment_matrix(X) -> np.ndarray:
@@ -74,12 +80,12 @@ def uniform_moment_matrix(X) -> np.ndarray:
 
     Its top-k eigenvectors are the PCA basis (the ascent's t = 0 iterate),
     and n times its eigenvalues are the squared singular values of X. Raw
-    rows are checked; a UnitVectorSet builds the matrix on first use and
-    keeps it, as it keeps its fingerprint: its rows cannot change.
+    rows are checked; a DirectionSet builds the matrix on first use and
+    keeps it, as it keeps its fingerprint: its directions cannot change.
     """
     X = as_unit_vector_set(X)
     if X._uniform_moment is None:
-        M = weighted_moment_matrix(X, np.full(X.n, 1.0 / X.n))
+        M = X.moment(np.full(X.n, 1.0 / X.n))
         M.flags.writeable = False
         object.__setattr__(X, "_uniform_moment", M)
     return X._uniform_moment

@@ -1,4 +1,4 @@
-"""Core value types: point sets, unit-vector sets, simplex weights and
+"""Core value types: point sets, direction sets, simplex weights and
 orthonormal bases.
 
 All types validate their invariants at construction and freeze the wrapped
@@ -11,6 +11,7 @@ a later write), so a caller that keeps writing should pass ``X.copy()``.
 from __future__ import annotations
 
 import hashlib
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ SIMPLEX_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 
 
-def _as_float_matrix(a, name):
+def as_float_matrix(a, name):
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be a 2-d matrix, got ndim={m.ndim}")
@@ -45,10 +46,58 @@ def _freeze(a):
 def matrix_fingerprint(m) -> str:
     """Content hash (sha256 hex) of a float matrix, shape included."""
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
+    return blocks_fingerprint(m.shape, [m])
+
+
+def blocks_fingerprint(shape, blocks) -> str:
+    """matrix_fingerprint of the matrix of the given shape whose rows are
+    the rows of ``blocks`` (C-contiguous float64 arrays), in order. Each
+    block is hashed as it comes, so the matrix never exists whole."""
     h = hashlib.sha256()
-    h.update(("%dx%d;" % m.shape).encode())
-    h.update(memoryview(m).cast("B"))
+    h.update(("%dx%d;" % tuple(shape)).encode())
+    for b in blocks:
+        h.update(memoryview(b).cast("B"))
     return h.hexdigest()
+
+
+def row_moment(Xm, w) -> np.ndarray:
+    """sum_i w_i x_i x_i' = A'A with A = diag(sqrt(w)) X over the rows of
+    positive weight only, for nonnegative w (unchecked). numpy computes A'A
+    with BLAS syrk, which fills one triangle and mirrors it, so the result
+    is exactly symmetric."""
+    keep = w > 0.0
+    A = np.compress(keep, Xm, axis=0)
+    A *= np.sqrt(w[keep])[:, None]
+    return A.T @ A
+
+
+def row_sq_proj(Xm, V) -> np.ndarray:
+    """s_i = ||V'x_i||^2 over the rows of Xm: one Xm @ V product."""
+    Y = Xm @ V
+    return np.einsum("ij,ij->i", Y, Y)
+
+
+def check_unit_rows(X, labels=None):
+    """The row norms of X and their largest deviation from 1. ContractError when
+    it exceeds RENORMALIZE_LIMIT, naming the first row with a non-finite
+    entry or else the worst row, 1-based: row i of X is row ``labels[i]``
+    of the set it belongs to (row i by default). One read pass with no
+    temporary of X's size: a NaN or inf entry, or one whose square
+    overflows, leaves its row's norm non-finite."""
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    dev = np.abs(norms - 1.0)
+    worst = dev.max()
+    if not worst <= RENORMALIZE_LIMIT:
+        bad = np.flatnonzero(~np.isfinite(norms))
+        i = int(bad[0]) if bad.size else int(np.argmax(dev))
+        row = i + 1 if labels is None else int(labels[i]) + 1
+        if not np.isfinite(X[i]).all():
+            raise ContractError(f"row {row} contains non-finite entries")
+        raise ContractError(
+            f"row {row} has norm {norms[i]:.6g}; rows must be unit length "
+            f"(deviation {dev[i]:.3g} exceeds {RENORMALIZE_LIMIT:g})"
+        )
+    return norms, worst
 
 
 @dataclass(frozen=True)
@@ -59,7 +108,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_float_matrix(self.points, "points")
+        pts = as_float_matrix(self.points, "points")
         if not np.isfinite(pts).all():
             raise ContractError("point set contains non-finite entries")
         object.__setattr__(self, "points", _freeze(pts))
@@ -73,8 +122,46 @@ class PointSet:
         return self.points.shape[1]
 
 
+class DirectionSet(ABC):
+    """n unit directions x_1..x_n in R^d, as the solver and the bounds read
+    them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)``,
+    ``sq_proj(V)`` and ``rows(idx)``. ``UnitVectorSet`` holds the rows;
+    ``pairs.PairDifferenceSet`` holds the points whose normalised
+    differences they are. The methods check nothing: callers check their
+    arguments once, at the API boundary.
+    """
+
+    # M(uniform), kept by spectral.uniform_moment_matrix on first use.
+    _uniform_moment: np.ndarray | None = None
+
+    @property
+    @abstractmethod
+    def n(self) -> int: ...
+
+    @property
+    @abstractmethod
+    def d(self) -> int: ...
+
+    @abstractmethod
+    def fingerprint(self) -> str:
+        """matrix_fingerprint of the n x d matrix of the directions."""
+
+    @abstractmethod
+    def moment(self, w) -> np.ndarray:
+        """M(w) = sum_i w_i x_i x_i', exactly symmetric, for a nonnegative
+        length-n float64 vector w."""
+
+    @abstractmethod
+    def sq_proj(self, V) -> np.ndarray:
+        """s_i = ||V'x_i||^2 for a d x k array V, as a new length-n vector."""
+
+    @abstractmethod
+    def rows(self, idx) -> np.ndarray:
+        """The directions of the given row indices, as a new dense array."""
+
+
 @dataclass(frozen=True)
-class UnitVectorSet:
+class UnitVectorSet(DirectionSet):
     """An n x d matrix whose rows are unit-length direction vectors.
 
     Rows whose norm deviates from 1 by more than ``ROW_NORM_TOL`` but at
@@ -86,27 +173,13 @@ class UnitVectorSet:
 
     X: np.ndarray
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
-    # M(uniform), kept by spectral.uniform_moment_matrix on first use.
     _uniform_moment: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        X = _as_float_matrix(self.X, "X")
-        # One read pass with no n x d temporary. A NaN or inf entry, or one
-        # whose square overflows, leaves its row's norm non-finite.
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-        dev = np.abs(norms - 1.0)
-        worst = dev.max()
-        if not worst <= RENORMALIZE_LIMIT:
-            bad = np.flatnonzero(~np.isfinite(norms))
-            i = int(bad[0]) if bad.size else int(np.argmax(dev))
-            if not np.isfinite(X[i]).all():
-                raise ContractError(f"row {i + 1} contains non-finite entries")
-            raise ContractError(
-                f"row {i + 1} has norm {norms[i]:.6g}; rows must be unit length "
-                f"(deviation {dev[i]:.3g} exceeds {RENORMALIZE_LIMIT:g})"
-            )
+        X = as_float_matrix(self.X, "X")
+        norms, worst = check_unit_rows(X)
         if worst > ROW_NORM_TOL:
             X = X / norms[:, None]
         object.__setattr__(self, "X", _freeze(X))
@@ -125,6 +198,15 @@ class UnitVectorSet:
         if self._fingerprint is None:
             object.__setattr__(self, "_fingerprint", matrix_fingerprint(self.X))
         return self._fingerprint
+
+    def moment(self, w) -> np.ndarray:
+        return row_moment(self.X, w)
+
+    def sq_proj(self, V) -> np.ndarray:
+        return row_sq_proj(self.X, V)
+
+    def rows(self, idx) -> np.ndarray:
+        return self.X[idx]
 
 
 @dataclass(frozen=True)
@@ -152,7 +234,7 @@ class OrthonormalBasis:
     V: np.ndarray
 
     def __post_init__(self):
-        V = _as_float_matrix(self.V, "V")
+        V = as_float_matrix(self.V, "V")
         if V.shape[1] > V.shape[0]:
             raise ShapeError(
                 f"cannot have {V.shape[1]} orthonormal columns in dimension {V.shape[0]}"
@@ -179,24 +261,18 @@ def first_bad_weight(w) -> str | None:
     return f"{'NaN' if np.isnan(w[i]) else 'negative'} weight at index {i + 1}"
 
 
-def as_unit_vector_set(X) -> UnitVectorSet:
-    """X itself if it is a UnitVectorSet, else a UnitVectorSet of its rows.
+def as_unit_vector_set(X) -> DirectionSet:
+    """X itself if it is a DirectionSet, else a UnitVectorSet of its rows.
 
     A raw input is checked exactly as the constructor checks it, but on a
     read-only view: a float64 C-contiguous array is neither copied nor
     taken over, so the caller can keep writing to it.
     """
-    if isinstance(X, UnitVectorSet):
+    if isinstance(X, DirectionSet):
         return X
     view = np.asarray(X, dtype=np.float64).view()
     view.flags.writeable = False
     return UnitVectorSet(view)
-
-
-def unit_matrix(X) -> np.ndarray:
-    """The raw n x d array behind a UnitVectorSet, or raw rows as a float
-    array, refused with ShapeError unless 2-d and non-empty."""
-    return X.X if isinstance(X, UnitVectorSet) else _as_float_matrix(X, "X")
 
 
 def weights_vector(w) -> np.ndarray:

@@ -342,8 +342,6 @@ def test_run_whose_lambda_loses_support_matches_a_dense_moment(monkeypatch):
     # The same run with M(lambda) summed over every row by einsum. einsum adds
     # in another order, so the runs agree to roundoff, not bitwise; ten steps
     # keep the ascent's growth of last-bit differences far below 1e-12.
-    from isoembed import ascent
-
     rng = np.random.default_rng(46)
     X = clustered_rows(rng, 200, 6)
     cfg = ie.AscentConfig(T=10)
@@ -351,12 +349,14 @@ def test_run_whose_lambda_loses_support_matches_a_dense_moment(monkeypatch):
 
     supports = []
 
-    def dense_moment(Xm, w):
+    def dense_moment(self, w):
         w = np.asarray(w)
         supports.append(np.count_nonzero(w) / w.size)
-        return np.einsum("i,ij,ik->jk", w, Xm, Xm)
+        return np.einsum("i,ij,ik->jk", w, self.X, self.X)
 
-    monkeypatch.setattr(ascent, "weighted_moment_matrix", dense_moment)
+    # X keeps the M(uniform) of the first run, so only the T + 1 steps' and
+    # the average iterate's moments come here.
+    monkeypatch.setattr(ie.UnitVectorSet, "moment", dense_moment)
     res = ie.run_projected_ascent(X, 2, cfg)
     assert len(supports) == cfg.T + 1 and min(supports) < 0.5
 

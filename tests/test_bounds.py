@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -62,10 +61,15 @@ def test_bounds_and_pca_reuse_the_runs_uniform_moment(monkeypatch):
     want_V = ie.pca_basis(fresh, 3).V
 
     ie.run_projected_ascent(X, 3, ie.AscentConfig(T=4))
-    real = ie.weighted_moment_matrix
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("isoembed") and getattr(mod, "weighted_moment_matrix", None) is real:
-            monkeypatch.setattr(mod, "weighted_moment_matrix", None)
+
+    def no_pass(*args):
+        raise AssertionError("a pass over the directions")
+
+    # every moment build and projection pass of a dense set goes through these
+    for method in ("moment", "sq_proj"):
+        monkeypatch.setattr(ie.UnitVectorSet, method, no_pass)
+    with pytest.raises(AssertionError, match="a pass over the directions"):
+        ie.uniform_moment_matrix(ie.UnitVectorSet(X.X.copy()))
     object.__setattr__(X, "X", _UnreadableRows(X.X.shape))
     bound = ie.approximation_bound(X)
     assert np.array_equal(bound.singular_values, want_bound.singular_values)

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isoembed as ie
+from isoembed import cli
 from isoembed.cli import run_cli
 
 
@@ -187,6 +190,27 @@ def test_max_pairs_subsamples(tmp_path, small_input):
     assert json.loads(out.read_text())["n"] == 20
 
 
+def test_max_pairs_builds_only_the_sampled_rows(tmp_path):
+    # 79,800 pairs of 400 points: the full dense set would be 12.8 MB, the
+    # 500 sampled rows are 80 kB, and the pair lengths 0.64 MB.
+    path = tmp_path / "pts.csv"
+    P = np.random.default_rng(23).standard_normal((400, 20))
+    write_matrix(path, P)
+    args = cli.build_parser().parse_args(
+        ["--input", str(path), "--k", "2", "--max-pairs", "500"]
+    )
+    tracemalloc.start()
+    try:
+        units = cli._build_units(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert units.n == 500 and peak <= 2 * 2**20
+    keep = np.sort(np.random.default_rng(42).choice(79_800, size=500, replace=False))
+    full = ie.pairwise_unit_differences(ie.load_points(path))
+    assert units.X.tobytes() == full.X[keep].tobytes()
+
+
 def test_reports_are_byte_identical(tmp_path, small_input):
     outs, traces = [], []
     for tag in ("a", "b"):
@@ -246,19 +270,16 @@ def test_explicit_eta_is_reported(tmp_path, small_input):
 
 
 def test_run_hashes_and_builds_the_pca_solution_once(tmp_path, small_input, monkeypatch):
-    from isoembed import types
-
+    # count every sha256 digest, whether a matrix or a stream of pair rows is hashed
     hashes = []
-    real_hash = types.matrix_fingerprint
-    monkeypatch.setattr(types, "matrix_fingerprint", lambda m: hashes.append(1) or real_hash(m))
-    # count every moment build, wherever the ascent, baselines or bounds look it up
+    real_hash = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(1) or real_hash(*a))
+    # count every moment build, whichever direction set the CLI holds
     moments = []
-    real = ie.weighted_moment_matrix
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("isoembed") and getattr(mod, "weighted_moment_matrix", None) is real:
-            monkeypatch.setattr(
-                mod, "weighted_moment_matrix", lambda X, w: moments.append(1) or real(X, w)
-            )
+    for cls in (ie.UnitVectorSet, ie.PairDifferenceSet):
+        monkeypatch.setattr(
+            cls, "moment", lambda X, w, real=cls.moment: moments.append(1) or real(X, w)
+        )
     rc = run_cli(
         ["--input", str(small_input), "--k", "2", "--iters", "6",
          "--baselines", "pca,random", "--out", str(tmp_path / "r.json")]
