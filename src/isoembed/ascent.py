@@ -91,11 +91,6 @@ class EmbeddingResult:
     degenerate_iterations: int = 0
 
 
-def _squared_projections(X, Vm):
-    """s_i = ||V'x_i||^2, the one projection pass per iterate: phi = 1 - s, g = -s."""
-    return X.sq_proj(Vm)
-
-
 def _distortion_report(s) -> DistortionReport:
     phi = 1.0 - s
     # phi is nonnegative in exact arithmetic; clear the roundoff dust.
@@ -124,7 +119,7 @@ def primal_distortion(X, V) -> DistortionReport:
         V = OrthonormalBasis(np.array(V, dtype=np.float64))
     if V.d != X.d:
         raise ShapeError(f"basis has shape {V.V.shape}, expected ({X.d}, k)")
-    return _distortion_report(_squared_projections(X, V.V))
+    return _distortion_report(X.sq_proj(V.V))
 
 
 def dual_objective(X, w, k: int) -> float:
@@ -149,7 +144,7 @@ def dual_gradient(X, w, k: int) -> np.ndarray:
     """
     X = as_unit_vector_set(X)
     state = top_k_eigenpairs(weighted_moment_matrix(X, w), k)
-    return _gradient(_squared_projections(X, state.basis.V))
+    return _gradient(X.sq_proj(state.basis.V))
 
 
 def default_step_size(n: int, T: int) -> float:
@@ -187,7 +182,7 @@ def _evaluate(X, M, lam, k):
     """Eigendecompose M = M(lam) and score its basis. The squared
     projections s are returned beside the iterate: they feed the next step."""
     state = top_k_eigenpairs(M, k)
-    s = _squared_projections(X, state.basis.V)
+    s = X.sq_proj(state.basis.V)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
     degenerate = state.spectral_gap < DEGENERACY_TOL
     return _Iterate(lam, state.basis, _distortion_report(s), dual, degenerate), s

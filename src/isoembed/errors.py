@@ -34,9 +34,9 @@ class DegenerateVectorError(EmbeddingError):
 
 
 class CoincidentPairError(EmbeddingError):
-    """Two input points coincide, so their difference has no direction.
-
-    ``pair`` holds the 1-based point indices.
+    """Two input points coincide, so their difference has no direction:
+    its square is below the smallest normal float (points closer than about
+    1.5e-154). ``pair`` holds the 1-based point indices.
     """
 
     def __init__(self, pair):

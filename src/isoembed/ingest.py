@@ -3,17 +3,14 @@ unit differences that turn points into directions."""
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 
 import numpy as np
 
-from .errors import CoincidentPairError, DegenerateVectorError, LoadError, ShapeError
-from .pairs import DenseRowsNeeded, PairDifferenceSet, point_blocks
-from .types import DirectionSet, PointSet, UnitVectorSet
-
-logger = logging.getLogger(__name__)
+from .errors import DegenerateVectorError, LoadError, ShapeError
+from .pairs import PairDifferenceSet
+from .types import PointSet, UnitVectorSet
 
 
 def _parse_line(text, lineno):
@@ -82,41 +79,15 @@ def normalize_rows(M) -> UnitVectorSet:
     return UnitVectorSet(M / norms[:, None])
 
 
-def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> DirectionSet:
+def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> PairDifferenceSet:
     """Normalized pairwise differences (u_i - u_j)/||u_i - u_j|| for i < j.
 
     Pairs are ordered row-major over (i, j), giving C(r, 2) unit directions,
     held implicitly as a ``PairDifferenceSet``: the points and one float
-    per pair. Coincident points make a pair's difference zero; under
-    ``error`` the first such pair (1-based) raises CoincidentPairError,
-    under ``drop`` they are omitted with a warning, and the rows that remain
-    are built into one dense ``UnitVectorSet``.
+    per pair. A pair is coincident when its squared difference is below
+    the smallest normal float (points closer than about 1.5e-154). Under
+    ``error`` the first such pair (1-based) raises CoincidentPairError;
+    under ``drop`` they are left out of the set with a warning, and
+    CoincidentPairError((1, 2)) is raised only when none is left.
     """
-    if dedup_policy not in ("error", "drop"):
-        raise ValueError(f"unknown dedup policy {dedup_policy!r}")
-    try:
-        return PairDifferenceSet(P)
-    except CoincidentPairError:
-        if dedup_policy == "error":
-            raise
-    except DenseRowsNeeded:
-        pass
-    return _dense_pairs(P.points)
-
-
-def _dense_pairs(P) -> UnitVectorSet:
-    """The nonzero pair rows written into one C(r, 2) x d output, coincident
-    pairs dropped with a warning; temporaries are one point's differences
-    (at most (r - 1) x d) and norms."""
-    out = np.empty((P.shape[0] * (P.shape[0] - 1) // 2, P.shape[1]))
-    n = 0
-    for _, _, diffs, norms in point_blocks(P):
-        if not norms.all():
-            diffs, norms = diffs[norms > 0], norms[norms > 0]
-        np.divide(diffs, norms[:, None], out=out[n : n + norms.size])
-        n += norms.size
-    if n < len(out):
-        logger.warning("dropped %d coincident pair(s) of %d", len(out) - n, len(out))
-        if n == 0:
-            raise CoincidentPairError((1, 2))
-    return UnitVectorSet(out[:n])
+    return PairDifferenceSet(P, dedup_policy)

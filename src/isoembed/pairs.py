@@ -17,18 +17,25 @@ With the centred points P_c = P - mean(P) and D_ij = ||p_i - p_j||^2:
 Both forms lose digits in proportion to kappa_ij = max(|p_i - m|,
 |p_j - m|) / ||p_i - p_j|| (about kappa u relative in s and kappa^2 u in
 M, u the unit roundoff). A pair with kappa above KAPPA_LIMIT, or whose D_ij
-is not a normal float, takes the exact route: its unit row is held dense,
-built as the dense pair rows are, enters s and M directly and gets zero
-Laplacian weight (D_ij is stored as inf).
+overflows, takes the exact route: its unit row is held dense, built as
+``X`` builds it, enters s and M directly and gets zero Laplacian weight
+(D_ij is stored as inf).
+
+A pair is coincident when D_ij is below the smallest normal float (points
+closer than about 1.5e-154). Dropped coincident pairs are holes: they keep
+their place in the row-major C(r, 2) order of the arrays above, with D_ij
+stored as inf, and are left out of n, s, ``X``, ``rows`` and the
+fingerprint.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
 from .errors import CoincidentPairError, ShapeError
 from .types import (
-    ROW_NORM_TOL,
     DirectionSet,
     PointSet,
     _freeze,
@@ -42,18 +49,14 @@ from .types import (
 # the largest kappa is 19, so none of their pairs takes it.
 KAPPA_LIMIT = 32.0
 
+logger = logging.getLogger(__name__)
+
 _TINY = np.finfo(np.float64).tiny
 # Pair differences that sq_proj squares and sums per einsum call.
 _CHUNK = 1 << 14
 
 
-class DenseRowsNeeded(Exception):
-    """An exact-route row is off unit length by more than ROW_NORM_TOL.
-    UnitVectorSet renormalises every row of a matrix holding such a row,
-    which only the dense pair build reproduces."""
-
-
-def point_blocks(P):
+def _point_blocks(P):
     """(i, a, diffs, norms) for each point i < r - 1: its differences
     p_i - p_j to the later points j > i, their norms (np.linalg.norm), and
     the row a of pair (i, i + 1) in row-major order."""
@@ -68,15 +71,18 @@ class PairDifferenceSet(DirectionSet):
     """The normalised pairwise differences of a PointSet of r >= 2 points.
 
     Construction reads every pair once, one point's differences at a time,
-    and keeps one float per pair. It raises ShapeError for fewer than two
-    points, CoincidentPairError naming the first coincident pair (1-based
-    points, row-major order; a difference whose square underflows counts as
-    coincident), ContractError as UnitVectorSet would for a row whose
-    difference overflows, and DenseRowsNeeded when UnitVectorSet would
-    renormalise the rows.
+    and keeps one float per pair. Under ``dedup_policy="error"`` the first
+    coincident pair raises CoincidentPairError naming it (1-based points,
+    row-major order). Under ``"drop"`` coincident pairs are dropped with a
+    warning, and CoincidentPairError((1, 2)) is raised only when every pair
+    is. It also raises ValueError for an unknown policy, ShapeError for
+    fewer than two points, and ContractError as UnitVectorSet would for a
+    row whose difference overflows.
     """
 
-    def __init__(self, points: PointSet):
+    def __init__(self, points: PointSet, dedup_policy: str = "error"):
+        if dedup_policy not in ("error", "drop"):
+            raise ValueError(f"unknown dedup policy {dedup_policy!r}")
         P = points.points
         r = P.shape[0]
         if r < 2:
@@ -85,49 +91,68 @@ class PairDifferenceSet(DirectionSet):
         self._centred = _freeze(P - P.mean(axis=0))
         reach = np.linalg.norm(self._centred, axis=1)
         self._sq = np.empty(r * (r - 1) // 2)
-        labels, rows = [], []
-        for i, a, diffs, norms in point_blocks(P):
-            if not norms.all():
-                raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(norms))))
+        holes, labels, rows = [], [], []
+        for i, a, diffs, norms in _point_blocks(P):
             sq = np.square(norms, out=self._sq[a : a + norms.size])
+            normal = sq >= _TINY
             exact = ~(
-                (sq >= _TINY)
+                normal
                 & (sq < np.inf)
                 & (KAPPA_LIMIT * norms >= np.maximum(reach[i], reach[i + 1 :]))
             )
+            if not normal.all():
+                if dedup_policy == "error":
+                    raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(normal))))
+                holes.append(a + np.flatnonzero(~normal))
+                exact &= normal
+                sq[~normal] = np.inf
             if exact.any():
                 labels.append(a + np.flatnonzero(exact))
                 rows.append(diffs[exact] / norms[exact, None])
                 sq[exact] = np.inf
+        self._sq.flags.writeable = False
+        self._holes = np.concatenate(holes) if holes else np.empty(0, dtype=np.intp)
+        if holes:
+            dropped, total = self._holes.size, self._sq.size
+            logger.warning("dropped %d coincident pair(s) of %d", dropped, total)
+            if dropped == total:
+                raise CoincidentPairError((1, 2))
+        # The kept pairs before each hole: its place among the rows of the set.
+        self._slots = self._holes - np.arange(self._holes.size)
         self._labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
         self._exact = np.concatenate(rows) if rows else np.empty((0, P.shape[1]))
-        if labels and check_unit_rows(self._exact, self._labels)[1] > ROW_NORM_TOL:
-            raise DenseRowsNeeded
-        self._sq.flags.writeable = False
+        if labels:  # ContractError names an overflowed row by its place in the set
+            kept = self._labels - np.searchsorted(self._holes, self._labels)
+            check_unit_rows(self._exact, kept)
         sizes = np.arange(r - 1, 0, -1)
         self._starts = np.cumsum(sizes) - sizes  # the row of pair (i, i + 1)
         self._X = self._fingerprint = self._upper = None
 
     @property
     def n(self) -> int:
-        return self._sq.size
+        return self._sq.size - self._holes.size
 
     @property
     def d(self) -> int:
         return self.points.d
 
     def _unit_blocks(self):
-        for _, a, diffs, norms in point_blocks(self.points.points):
-            yield a, np.divide(diffs, norms[:, None], out=diffs)
+        for _, _, diffs, norms in _point_blocks(self.points.points):
+            if self._holes.size:
+                keep = np.square(norms) >= _TINY
+                diffs, norms = diffs[keep], norms[keep]
+            yield np.divide(diffs, norms[:, None], out=diffs)
 
     @property
     def X(self) -> np.ndarray:
-        """The n x d unit rows, bit for bit those of the dense pair build,
-        read-only. Built on first access and kept: C(r, 2) x d floats."""
+        """The n x d unit rows, each difference divided by its
+        np.linalg.norm, read-only. Built on first access and kept."""
         if self._X is None:
             X = np.empty((self.n, self.d))
-            for a, block in self._unit_blocks():
+            a = 0
+            for block in self._unit_blocks():
                 X[a : a + block.shape[0]] = block
+                a += block.shape[0]
             self._X = _freeze(X)
         return self._X
 
@@ -135,11 +160,12 @@ class PairDifferenceSet(DirectionSet):
         """matrix_fingerprint of ``X``, streamed one point's rows at a time
         and kept."""
         if self._fingerprint is None:
-            blocks = (block for _, block in self._unit_blocks())
-            self._fingerprint = blocks_fingerprint((self.n, self.d), blocks)
+            self._fingerprint = blocks_fingerprint((self.n, self.d), self._unit_blocks())
         return self._fingerprint
 
     def moment(self, w) -> np.ndarray:
+        if self._holes.size:
+            w = np.insert(w, self._slots, 0.0)
         Pc = self._centred
         r = Pc.shape[0]
         if self._upper is None:  # the pairs' places in C, row-major like the pairs
@@ -159,7 +185,7 @@ class PairDifferenceSet(DirectionSet):
     def sq_proj(self, V) -> np.ndarray:
         Y = self._centred @ V
         r = Y.shape[0]
-        s = np.empty(self.n)
+        s = np.empty(self._sq.size)
         # Point i's differences Y_j - Y_i, j > i, are the next r - 1 - i
         # entries of s. They are gathered in buf, squared and summed once it
         # is full: one einsum per point would cost more than the arithmetic.
@@ -172,16 +198,20 @@ class PairDifferenceSet(DirectionSet):
             np.subtract(Y[i + 1 :], Y[i], out=buf[fill : fill + r - 1 - i])
             fill += r - 1 - i
         np.einsum("ij,ij->i", buf[:fill], buf[:fill], out=s[lo : lo + fill])
-        # Only exact-route pairs (D_ij = inf) can overflow or give inf/inf
-        # here, and their entries are replaced below.
+        # Only exact-route pairs and holes (D_ij = inf) can overflow or give
+        # inf/inf here, and their entries are replaced or deleted below.
         with np.errstate(over="ignore", invalid="ignore"):
             s /= self._sq
         if self._labels.size:
             s[self._labels] = row_sq_proj(self._exact, V)
+        if self._holes.size:
+            s = np.delete(s, self._holes)
         return s
 
     def rows(self, idx) -> np.ndarray:
         idx = np.asarray(idx)
+        if self._holes.size:  # kept index -> row-major index
+            idx = idx + np.searchsorted(self._slots, idx, side="right")
         i = np.searchsorted(self._starts, idx, side="right") - 1
         diffs = self.points.points[i] - self.points.points[idx - self._starts[i] + i + 1]
         return diffs / np.linalg.norm(diffs, axis=1)[:, None]

@@ -284,17 +284,19 @@ def test_first_step_follows_the_projected_gradient_rule():
 
 
 def test_one_projection_product_per_evaluated_iterate(monkeypatch):
-    from isoembed import ascent
-
     calls = []
-    real = ascent._squared_projections
-    monkeypatch.setattr(
-        ascent, "_squared_projections", lambda Xm, Vm: calls.append(1) or real(Xm, Vm)
-    )
+    for cls in (ie.UnitVectorSet, ie.PairDifferenceSet):
+        monkeypatch.setattr(
+            cls, "sq_proj", lambda X, V, real=cls.sq_proj: calls.append(1) or real(X, V)
+        )
     rng = np.random.default_rng(45)
     T = 7
-    ie.run_projected_ascent(unit_rows(rng, 20, 4), 2, ie.AscentConfig(T=T))
-    assert len(calls) == T + 2  # t = 0, T steps, the average iterate
+    rows = unit_rows(rng, 20, 4)
+    pairs = ie.pairwise_unit_differences(ie.PointSet(rng.standard_normal((8, 4))))
+    for units in (rows, pairs):
+        calls.clear()
+        ie.run_projected_ascent(units, 2, ie.AscentConfig(T=T))
+        assert len(calls) == T + 2  # t = 0, T steps, the average iterate
 
 
 def test_k_out_of_range():

@@ -192,23 +192,29 @@ def test_max_pairs_subsamples(tmp_path, small_input):
 
 def test_max_pairs_builds_only_the_sampled_rows(tmp_path):
     # 79,800 pairs of 400 points: the full dense set would be 12.8 MB, the
-    # 500 sampled rows are 80 kB, and the pair lengths 0.64 MB.
-    path = tmp_path / "pts.csv"
+    # 500 sampled rows are 80 kB, and the pair lengths 0.64 MB. In the
+    # --dedup input point 400 repeats point 5, and that one pair is dropped.
     P = np.random.default_rng(23).standard_normal((400, 20))
-    write_matrix(path, P)
-    args = cli.build_parser().parse_args(
-        ["--input", str(path), "--k", "2", "--max-pairs", "500"]
-    )
-    tracemalloc.start()
-    try:
-        units = cli._build_units(args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert units.n == 500 and peak <= 2 * 2**20
-    keep = np.sort(np.random.default_rng(42).choice(79_800, size=500, replace=False))
-    full = ie.pairwise_unit_differences(ie.load_points(path))
-    assert units.X.tobytes() == full.X[keep].tobytes()
+    repeated = P.copy()
+    repeated[399] = repeated[4]
+    for pts, flags, policy, n in ((P, [], "error", 79_800),
+                                  (repeated, ["--dedup"], "drop", 79_799)):
+        path = tmp_path / f"pts_{policy}.csv"
+        write_matrix(path, pts)
+        args = cli.build_parser().parse_args(
+            ["--input", str(path), "--k", "2", "--max-pairs", "500", *flags]
+        )
+        tracemalloc.start()
+        try:
+            units = cli._build_units(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert units.n == 500 and peak <= 2 * 2**20
+        keep = np.sort(np.random.default_rng(42).choice(n, size=500, replace=False))
+        full = ie.pairwise_unit_differences(ie.load_points(path), dedup_policy=policy)
+        assert full.n == n
+        assert units.X.tobytes() == full.X[keep].tobytes()
 
 
 def test_reports_are_byte_identical(tmp_path, small_input):

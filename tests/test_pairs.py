@@ -17,10 +17,18 @@ def _points(rng, kind, r, d):
         P = 1e6 + 1e-3 * P
     elif kind == "anisotropic":
         P = P * 10.0 ** rng.uniform(-6, 6, d)
+    elif kind == "repeated":  # coincident pairs to drop, within and at the end of a block
+        P[r // 2] = P[1]
+        P[-1] = P[0]
     return P
 
 
-KINDS = ["random", "close", "offset", "anisotropic"]
+KINDS = ["random", "close", "offset", "anisotropic", "repeated"]
+
+
+def _pairs(P, kind):
+    policy = "drop" if kind == "repeated" else "error"
+    return ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy=policy)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -28,15 +36,20 @@ def test_projections_and_moment_match_the_dense_rows(kind):
     rng = np.random.default_rng(KINDS.index(kind))
     for _ in range(40):
         r, d = int(rng.integers(3, 40)), int(rng.integers(1, 9))
-        pairs = ie.pairwise_unit_differences(ie.PointSet(_points(rng, kind, r, d)))
+        pairs = _pairs(_points(rng, kind, r, d), kind)
         assert isinstance(pairs, ie.PairDifferenceSet)
+        assert (pairs.n < r * (r - 1) // 2) == (kind == "repeated")
         X = pairs.X
+        assert X.shape == (pairs.n, d)
         V = np.linalg.qr(rng.standard_normal((d, int(rng.integers(1, d + 1)))))[0]
         assert np.abs(pairs.sq_proj(V) - row_sq_proj(X, V)).max() <= 1e-12
         w = rng.random(pairs.n) * (rng.random(pairs.n) < 0.3)  # mixed support
         M = pairs.moment(w)
         assert np.array_equal(M, M.T)
         assert np.abs(M - row_moment(X, w)).max() <= 1e-12 * w.sum()
+        # Every index, so also each one just after a dropped pair.
+        assert pairs.rows(np.arange(pairs.n)).tobytes() == X.tobytes()
+        assert pairs.fingerprint() == ie.matrix_fingerprint(X)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -44,7 +57,7 @@ def test_a_short_run_traces_as_on_the_dense_rows(kind):
     # The ascent amplifies last-bit differences as it goes (README,
     # "Determinism"), so the runs are compared over ten steps.
     rng = np.random.default_rng(10 + KINDS.index(kind))
-    pairs = ie.pairwise_unit_differences(ie.PointSet(_points(rng, kind, 30, 6)))
+    pairs = _pairs(_points(rng, kind, 30, 6), kind)
     cfg = ie.AscentConfig(T=10)
     a = ie.run_projected_ascent(pairs, 2, cfg)
     b = ie.run_projected_ascent(ie.UnitVectorSet(pairs.X.copy()), 2, cfg)
@@ -100,17 +113,25 @@ def test_errors_name_the_pair_or_row_at_fault():
     P = np.array([[0.0, 0.0], [1.0, 1.0], [1e200, 0.0], [2.0, 5.0]])
     with np.errstate(over="ignore"), pytest.raises(ie.ContractError, match="row 2 has norm 0"):
         ie.pairwise_unit_differences(ie.PointSet(P))
+    # Rows are numbered in the set: pair (1, 4) is row 2 once (1, 2) is dropped.
+    P = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1e200, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(ie.ContractError, match="row 2 has norm 0"):
+        ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
 
 
-def test_rows_that_need_renormalising_are_built_dense():
-    # Points 1e-158 apart: the squared difference is subnormal, the norm is
-    # off by more than ROW_NORM_TOL, and UnitVectorSet renormalises the rows.
+def test_pairs_closer_than_the_smallest_normal_square_are_coincident():
+    # Points 1e-158 apart: the squared difference, 1e-316, is subnormal.
     P = np.array([[0.0], [1.0], [1e-158], [5.0]])
-    u = ie.pairwise_unit_differences(ie.PointSet(P))
-    raw = np.concatenate([(P[i] - P[i + 1 :]) / np.linalg.norm(P[i] - P[i + 1 :], axis=1)[:, None]
-                          for i in range(3)])
-    assert isinstance(u, ie.UnitVectorSet)
-    assert u.X.tobytes() == ie.UnitVectorSet(raw).X.tobytes()
+    with pytest.raises(ie.CoincidentPairError) as exc:
+        ie.pairwise_unit_differences(ie.PointSet(P))
+    assert exc.value.pair == (1, 3)
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    assert pairs.n == 5
+    assert pairs.X.tolist() == [[-1.0], [-1.0], [1.0], [-1.0], [-1.0]]
+    assert pairs.rows([1, 2]).tolist() == [[-1.0], [1.0]]
+    # 2e-154 apart, the square is 4e-308, just above the smallest normal 2.2e-308.
+    P = np.array([[0.0], [1.0], [2e-154], [5.0]])
+    assert ie.pairwise_unit_differences(ie.PointSet(P)).n == 6
 
 
 def test_memory_per_pair():

@@ -439,14 +439,17 @@ def test_pairwise_drop_matches_reference_bitwise(caplog):
 
 
 def test_pairwise_peak_memory_is_the_output():
-    # The output is allocated once; one point's differences and norms,
-    # about 0.01x of the output at r = 300, are the only temporaries, and
-    # the UnitVectorSet check adds a few length-n vectors.
-    P = ie.PointSet(np.random.default_rng(15).standard_normal((300, 40)))
+    # The build keeps one float per pair, reads one point's differences at a
+    # time, and drops a coincident pair without building the rows: a dense
+    # build would need 8 d = 320 B/pair.
+    pts = np.random.default_rng(15).standard_normal((300, 40))
+    pts[299] = pts[3]
+    P = ie.PointSet(pts)
     tracemalloc.start()
     try:
-        u = ie.pairwise_unit_differences(P)
+        u = ie.pairwise_unit_differences(P, dedup_policy="drop")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * u.X.nbytes
+    assert u.n == 300 * 299 // 2 - 1
+    assert peak <= 32 * u.n
