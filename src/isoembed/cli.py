@@ -23,7 +23,7 @@ from .baselines import random_orthonormal_basis
 from .bounds import DEFAULT_RANK_TOL, approximation_bound
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
-from .types import ROW_NORM_TOL, DirectionSet, UnitVectorSet
+from .types import ROW_NORM_TOL, DirectionSet, PointSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
 
@@ -190,8 +190,7 @@ def _subsample_pairs(units: DirectionSet, max_pairs: int, seed: int) -> Directio
     return UnitVectorSet(units.rows(keep))
 
 
-def _build_units(args) -> DirectionSet:
-    points = load_points(args.input, skip_header=args.header)
+def _build_units(args, points: PointSet) -> DirectionSet:
     if args.mode == "pairwise":
         policy = "drop" if args.dedup else "error"
         units = pairwise_unit_differences(points, dedup_policy=policy)
@@ -223,9 +222,11 @@ def run_cli(argv=None) -> int:
 
     t_start = time.perf_counter()
     try:
-        units = _build_units(args)
-        if args.k > units.d:
-            parser.error(f"--k {args.k} exceeds the data dimension {units.d}")
+        points = load_points(args.input, skip_header=args.header)
+        if args.k > points.d:
+            parser.error(f"--k {args.k} exceeds the data dimension {points.d}")
+        units = _build_units(args, points)
+        del points  # in rows mode a renormalised copy replaces them
         result = run_projected_ascent(units, args.k, cfg)
         bounds = approximation_bound(units, rank_tol=args.rank_tol)
         baselines = {}

@@ -1,9 +1,24 @@
 """Euclidean projection onto the standard probability simplex.
 
-The projection is the sort-based O(n log n) scheme: sort descending, find
-the largest prefix whose shifted entries stay positive, shift by the
-corresponding constant and clip. The result is the unique nearest point of
-{w : w_i >= 0, sum w_i = 1}.
+The projection sorts descending, finds the largest prefix whose shifted
+entries stay positive, shifts by the corresponding constant and clips. The
+result is the unique nearest point of {w : w_i >= 0, sum w_i = 1}.
+
+Only a candidate set is sorted. Michelot's iteration (J. Optim. Theory
+Appl. 1986; Condat, Math. Program. 2016) keeps the entries above
+tau = (sum(c) - 1)/|c| and repeats; in exact arithmetic tau rises to the
+threshold from below, so every kept set holds the support. The input of the
+last round that removed an entry holds the support and at least one entry
+outside it. It is the top of the vector, so its descending sort and prefix
+sums are bitwise the first entries of the full sort's, and a prefix length
+rho that stops short of its last entry is the full sort's rho. When rho
+reaches the last candidate, every entry is sorted instead. The output is
+bitwise that of sorting every entry.
+
+The rounds stop once one removes less than MIN_ROUND_SHRINK of its input.
+Each earlier round shrank the set by at least that share, so the rounds
+scan at most about n / MIN_ROUND_SHRINK entries in all, and an input whose
+rounds each remove a little costs about one full sort.
 """
 
 from __future__ import annotations
@@ -12,6 +27,25 @@ import numpy as np
 
 from .types import SIMPLEX_TOL, SimplexWeights, weights_vector
 
+# The first candidate round that removes less than this share of its input
+# is the last (module docstring).
+MIN_ROUND_SHRINK = 0.1
+
+
+def _support_superset(z: np.ndarray) -> np.ndarray:
+    """The top entries of z that hold the projection's support and, unless
+    they are all of z, at least one entry more: the input of the last
+    candidate round that removed an entry."""
+    cand = c = z
+    while True:
+        above = c > (c.sum() - 1.0) / c.size
+        kept = np.count_nonzero(above)
+        if kept == c.size:
+            return cand
+        if kept > (1.0 - MIN_ROUND_SHRINK) * c.size:
+            return c
+        cand, c = c, np.compress(above, c)
+
 
 def project_to_simplex(y) -> SimplexWeights:
     """Project a real vector onto the probability simplex.
@@ -19,6 +53,9 @@ def project_to_simplex(y) -> SimplexWeights:
     rho is the largest index j (1-based, in descending order) with
     y_(j) + (1 - sum_{i<=j} y_(i))/j > 0; the output is
     max(y_i + alpha, 0) with alpha = (1 - sum_{i<=rho} y_(i))/rho.
+    The sort, prefix sums and test run on a candidate set (module
+    docstring); when rho ends at the last candidate, they run again on
+    every entry. The output is bitwise that of sorting every entry.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size < 1:
@@ -29,11 +66,15 @@ def project_to_simplex(y) -> SimplexWeights:
     # Shifted by the largest, the entries that stay positive lie within 1 of
     # 0 and are exact differences, so large inputs do not cancel below.
     z = y - y.max()
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, y.size + 1)
-    # j = 1 always qualifies (u_1 + 1 - u_1 = 1 > 0), so rho >= 1.
-    rho = int(np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1]) + 1
+    for c in (_support_superset(z), z):
+        u = np.sort(c)[::-1]
+        css = np.cumsum(u)
+        j = np.arange(1, c.size + 1)
+        # j = 1 always qualifies (u_1 + 1 - u_1 = 1 > 0), so rho >= 1.
+        rho = int(np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1]) + 1
+        # rho below the candidate count is rho of the full sort.
+        if rho < c.size or c.size == z.size:
+            break
     alpha = (1.0 - css[rho - 1]) / rho
     z += alpha
     return SimplexWeights(np.maximum(z, 0.0, out=z))

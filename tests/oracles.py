@@ -37,6 +37,20 @@ def kkt_simplex_projection(y):
     return best
 
 
+def sort_simplex_projection(y):
+    """Simplex projection by sorting every entry, the bitwise reference for
+    the library's projection, which sorts only a candidate set."""
+    y = np.asarray(y, dtype=np.float64)
+    z = y - y.max()
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, y.size + 1)
+    rho = int(np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1]) + 1
+    alpha = (1.0 - css[rho - 1]) / rho
+    z += alpha
+    return np.maximum(z, 0.0, out=z)
+
+
 def fd_dual_gradient(X, lam, k, h=1e-6):
     """Central finite differences of the dual objective, coordinate-wise.
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_usage_errors_exit_2(small_input):
         assert exc.value.code == 2, (flag, value)
 
 
+def test_k_above_d_is_refused_before_the_pair_build(small_input, capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "pairwise_unit_differences", lambda *a, **kw: builds.append(1))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--input", str(small_input), "--k", "5"])
+    assert exc.value.code == 2
+    assert "--k 5 exceeds the data dimension 4" in capsys.readouterr().err
+    assert builds == []
+
+
 def test_data_errors_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     rc = run_cli(["--input", str(missing), "--k", "1"])
@@ -151,10 +162,20 @@ def test_rank_one_bounds_serialize_as_inf(tmp_path):
     assert report["bound_sigma"] == "inf" and report["bound_kappa"] == "inf"
 
 
-def test_rows_mode_renormalizes_with_warning(tmp_path, caplog):
+def test_rows_mode_renormalizes_with_warning(tmp_path, caplog, monkeypatch):
     path = tmp_path / "rows.csv"
     write_matrix(path, [[2.0, 0.0], [0.0, 0.5]])
     out = tmp_path / "r.json"
+    # the loaded rows are freed once their renormalised copy exists
+    loaded, alive = [], []
+    real_load, real_run = cli.load_points, cli.run_projected_ascent
+    monkeypatch.setattr(
+        cli, "load_points",
+        lambda *a, **kw: loaded.append(weakref.ref((p := real_load(*a, **kw)).points)) or p,
+    )
+    monkeypatch.setattr(
+        cli, "run_projected_ascent", lambda *a: alive.append(loaded[0]() is not None) or real_run(*a)
+    )
     with caplog.at_level("WARNING"):
         rc = run_cli(
             ["--input", str(path), "--mode", "rows", "--k", "1", "--iters", "3", "--out", str(out)]
@@ -162,6 +183,7 @@ def test_rows_mode_renormalizes_with_warning(tmp_path, caplog):
     assert rc == 0
     assert any("renormaliz" in rec.message for rec in caplog.records)
     assert json.loads(out.read_text())["n"] == 2
+    assert alive == [False]
 
 
 def test_header_flag_skips_first_line(tmp_path):
@@ -206,7 +228,7 @@ def test_max_pairs_builds_only_the_sampled_rows(tmp_path):
         )
         tracemalloc.start()
         try:
-            units = cli._build_units(args)
+            units = cli._build_units(args, ie.load_points(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
-from oracles import kkt_simplex_projection
+from isoembed import ascent, simplex
+from oracles import kkt_simplex_projection, sort_simplex_projection
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_already_on_simplex_is_identity():
@@ -55,6 +60,75 @@ def test_matches_kkt_oracle_with_ties_and_large_magnitudes(y):
     scale = max(1.0, float(np.abs(y).max()))
     assert np.abs(got - kkt_simplex_projection(y)).max() <= 1e-12 * scale
     assert ie.is_on_simplex(got)
+    assert same_bits(got, sort_simplex_projection(y))
+
+
+@pytest.mark.parametrize(
+    "y, support",
+    [
+        (np.array([0.3]), 1),
+        # every entry keeps a positive weight
+        (np.full(5000, 1.0 / 5000) + np.random.default_rng(10).normal(0.0, 1e-6, 5000), 5000),
+        # one entry takes all the weight
+        (np.concatenate([[5.0], np.random.default_rng(11).normal(0.0, 1.0, 5000)]), 1),
+    ],
+    ids=["n=1", "full-support", "single-entry-support"],
+)
+def test_matches_the_full_sort_bitwise(y, support):
+    got = ie.project_to_simplex(y).lam
+    assert np.count_nonzero(got) == support
+    assert same_bits(got, sort_simplex_projection(y))
+
+
+def test_rho_at_the_last_candidate_sorts_every_entry(monkeypatch):
+    # Shifted by the largest, six entries tie at the threshold -0.6 and have
+    # zero weight. Rounding keeps them among the candidates and passes the
+    # prefix test at the last one, so rho cannot be told from the candidates.
+    a, b = -0.1, -0.6000000000000001
+    y = np.array([a, b, a, a, a, b, 0.30000000000000004, b, a, a, 0.5, b, a, b])
+    u = np.sort(simplex._support_superset(y - y.max()))[::-1]
+    assert u.size < y.size and u[-1] + (1.0 - np.cumsum(u)[-1]) / u.size > 0.0
+    assert same_bits(ie.project_to_simplex(y).lam, sort_simplex_projection(y))
+    # Ten candidates inside a support of 179: only the full sort finds rho.
+    y = np.random.default_rng(13).normal(0.0, 0.01, 1000)
+    monkeypatch.setattr(simplex, "_support_superset", lambda z: np.sort(z)[-10:])
+    got = ie.project_to_simplex(y).lam
+    assert np.count_nonzero(got) == 179
+    assert same_bits(got, sort_simplex_projection(y))
+
+
+def test_every_step_of_a_pairwise_run_matches_the_full_sort(monkeypatch):
+    rng = np.random.default_rng(12)
+    centres = 3.0 * rng.standard_normal((8, 6))
+    P = centres[rng.integers(0, 8, 200)] + 0.3 * rng.standard_normal((200, 6))
+    units = ie.pairwise_unit_differences(ie.PointSet(P))
+    ys = []
+    real = ascent.project_to_simplex
+    monkeypatch.setattr(ascent, "project_to_simplex", lambda y: ys.append(y.copy()) or real(y))
+    ie.run_projected_ascent(units, 2, ie.AscentConfig(T=30))
+    assert units.n == 19_900 and len(ys) == 30
+    candidates = [simplex._support_superset(y - y.max()).size for y in ys]
+    assert max(candidates) < units.n  # every step sorted fewer than n entries
+    for y in ys:
+        assert same_bits(ie.project_to_simplex(y).lam, sort_simplex_projection(y))
+
+
+def test_candidate_rounds_stop_at_the_round_limit(monkeypatch):
+    # Each Michelot round drops about 2% of these entries: without the limit
+    # the rounds would run 136 times, past the bound below.
+    n = 20_000
+    y = -np.exp(np.arange(n) * 700.0 / n)
+    rounds = []  # (input size, entries kept) of each round
+    real = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: rounds.append((a.size, real(a))) or real(a))
+    simplex._support_superset(y - y.max())
+    monkeypatch.undo()
+    shrink = [1.0 - kept / size for size, kept in rounds]
+    assert all(s >= simplex.MIN_ROUND_SHRINK for s in shrink[:-1])
+    assert 0.0 < shrink[-1] < simplex.MIN_ROUND_SHRINK
+    # rounds that each drop a share f of their input end within log n / -log(1 - f)
+    assert len(rounds) <= 1 + np.log(n) / -np.log1p(-simplex.MIN_ROUND_SHRINK)
+    assert same_bits(ie.project_to_simplex(y).lam, sort_simplex_projection(y))
 
 
 def test_output_feasible_and_idempotent():
