@@ -164,28 +164,31 @@ def default_step_size(n: int, T: int) -> float:
 
 @dataclass(frozen=True)
 class _Iterate:
-    """An evaluated iterate; dual is g(lam) clipped to [0, 1]."""
+    """An evaluated iterate: its squared projections s_i = ||V'x_i||^2,
+    which feed the next step, epsilon = max_i (1 - s_i) clipped at 0, and
+    the dual g(lam) clipped to [0, 1]."""
 
     lam: np.ndarray
     basis: OrthonormalBasis
-    report: DistortionReport
+    s: np.ndarray
+    epsilon: float
     dual: float
     degenerate: bool
 
     def record(self, t: int, best: _Iterate) -> IterationRecord:
-        return IterationRecord(
-            t, self.dual, self.report.epsilon, best.report.epsilon, self.degenerate
-        )
+        return IterationRecord(t, self.dual, self.epsilon, best.epsilon, self.degenerate)
 
 
 def _evaluate(X, M, lam, k):
-    """Eigendecompose M = M(lam) and score its basis. The squared
-    projections s are returned beside the iterate: they feed the next step."""
+    """Eigendecompose M = M(lam) and score its basis."""
     state = top_k_eigenpairs(M, k)
     s = X.sq_proj(state.basis.V)
+    # Bitwise the max of _distortion_report's clip(1 - s, 0): rounding
+    # 1 - x is monotone in x.
+    epsilon = max(1.0 - float(s.min()), 0.0)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
     degenerate = state.spectral_gap < DEGENERACY_TOL
-    return _Iterate(lam, state.basis, _distortion_report(s), dual, degenerate), s
+    return _Iterate(lam, state.basis, s, epsilon, dual, degenerate)
 
 
 def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> EmbeddingResult:
@@ -208,18 +211,18 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
         eta = float(cfg.step_size)
 
     # The uniform weights as a zero-stride view: pca holds no length-n buffer.
-    pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
+    pca = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
     best = cur = pca
     trace = [pca.record(0, best)]
     lam_sum = np.zeros(n)
     support = 0  # summed over the steps: the moment kernel reads these rows
     for t in range(1, T + 1):
-        lam = project_to_simplex(cur.lam + eta * _gradient(s)).lam
+        lam = project_to_simplex(cur.lam + eta * _gradient(cur.s)).lam
         lam_sum += lam
         support += np.count_nonzero(lam)
-        del cur, s  # spent: freed before the next moment build unless best or pca
-        cur, s = _evaluate(X, X.moment(lam), lam, k)
-        if cur.report.epsilon < best.report.epsilon:
+        del cur  # spent: freed before the next moment build unless best or pca
+        cur = _evaluate(X, X.moment(lam), lam, k)
+        if cur.epsilon < best.epsilon:
             best = cur
         trace.append(cur.record(t, best))
 
@@ -231,9 +234,9 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
             "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
             support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
         )
-        avg, _ = _evaluate(X, X.moment(lam_sum), lam_sum, k)
+        avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)
         # Average wins ties: the best iterate is kept only on strict improvement.
-        if not (best.report.epsilon < avg.report.epsilon):
+        if not (best.epsilon < avg.epsilon):
             selected, best = "average", avg
         records.append(avg.record(T, best))
 
@@ -244,13 +247,13 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
 
     return EmbeddingResult(
         basis=best.basis,
-        distortion=best.report,
+        distortion=_distortion_report(best.s),
         trace=trace,
         selected_iterate=selected,
         lambda_selected=SimplexWeights(best.lam),
         best_dual_value=max(r.dual_value for r in records),
         step_size=eta,
-        pca_distortion=pca.report,
+        pca_distortion=_distortion_report(pca.s),
         average_record=records[-1] if T >= 1 else None,
         fingerprint=X.fingerprint(),
         degenerate_iterations=n_degen,

@@ -20,35 +20,12 @@ import numpy as np
 
 from .ascent import AscentConfig, primal_distortion, run_projected_ascent
 from .baselines import random_orthonormal_basis
-from .bounds import DEFAULT_RANK_TOL, approximation_bound
+from .bounds import DEFAULT_RANK_TOL, approximation_bound, duality_sandwich_check
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
 from .types import ROW_NORM_TOL, DirectionSet, PointSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
-
-REPORT_FIELDS = (
-    "n",
-    "d",
-    "k",
-    "iters",
-    "eta",
-    "mode",
-    "epsilon_alg",
-    "selected_iterate",
-    "dual_best",
-    "epsilon_pca",
-    "epsilon_random",
-    "bound_sigma",
-    "bound_kappa",
-    "rank",
-    "kappa",
-    "sigma_max",
-    "degenerate_iterations",
-    "runtime_seconds",
-    "input_fingerprint",
-)
-
 
 def _json_scalar(value):
     if value is None:
@@ -68,39 +45,33 @@ def _json_scalar(value):
 def emit_report(result, bounds, baselines, path, *, n, d, k, iters, eta, mode):
     """Write the run report as a single flat JSON object.
 
-    Field order is fixed, floats carry 17 significant digits, infinities
-    are serialized as the string "inf"; the output is byte-reproducible.
-    ``baselines`` maps method name -> DistortionReport and contributes the
-    optional epsilon_pca / epsilon_random fields.
+    The fields are written in the order of one list of (field, value)
+    pairs; floats carry 17 significant digits, infinities are serialized as
+    the string "inf"; the output is byte-reproducible. ``baselines`` maps
+    method name -> DistortionReport: its "pca" and "random" entries give
+    the optional epsilon_pca and epsilon_random fields, after dual_best.
     """
-    values = {
-        "n": n,
-        "d": d,
-        "k": k,
-        "iters": iters,
-        "eta": eta,
-        "mode": mode,
-        "epsilon_alg": result.distortion.epsilon,
-        "selected_iterate": result.selected_iterate,
-        "dual_best": result.best_dual_value,
-        "bound_sigma": bounds.bound_sigma,
-        "bound_kappa": bounds.bound_kappa,
-        "rank": bounds.rank,
-        "kappa": bounds.kappa,
-        "sigma_max": float(bounds.singular_values[0]),
-        "degenerate_iterations": result.degenerate_iterations,
-        "runtime_seconds": None,
-        "input_fingerprint": result.fingerprint,
-    }
-    if "pca" in baselines:
-        values["epsilon_pca"] = baselines["pca"].epsilon
-    if "random" in baselines:
-        values["epsilon_random"] = baselines["random"].epsilon
-    lines = [
-        '  "%s": %s' % (name, _json_scalar(values[name]))
-        for name in REPORT_FIELDS
-        if name in values
+    fields = [
+        ("n", n),
+        ("d", d),
+        ("k", k),
+        ("iters", iters),
+        ("eta", eta),
+        ("mode", mode),
+        ("epsilon_alg", result.distortion.epsilon),
+        ("selected_iterate", result.selected_iterate),
+        ("dual_best", result.best_dual_value),
+        *[("epsilon_" + m, baselines[m].epsilon) for m in ("pca", "random") if m in baselines],
+        ("bound_sigma", bounds.bound_sigma),
+        ("bound_kappa", bounds.bound_kappa),
+        ("rank", bounds.rank),
+        ("kappa", bounds.kappa),
+        ("sigma_max", float(bounds.singular_values[0])),
+        ("degenerate_iterations", result.degenerate_iterations),
+        ("runtime_seconds", None),
+        ("input_fingerprint", result.fingerprint),
     ]
+    lines = ['  "%s": %s' % (name, _json_scalar(value)) for name, value in fields]
     text = "{\n" + ",\n".join(lines) + "\n}\n"
     if path is None:
         sys.stdout.write(text)
@@ -152,12 +123,13 @@ def build_parser():
         "--seed",
         type=int,
         default=42,
-        help="seed for the random baseline and --max-pairs subsampling (default 42)",
+        help="non-negative seed for the random baseline and --max-pairs subsampling "
+        "(default 42)",
     )
     p.add_argument(
         "--dedup",
         action="store_true",
-        help="drop coincident point pairs instead of failing on them",
+        help="in pairwise mode, drop coincident point pairs instead of failing on them",
     )
     p.add_argument("--header", action="store_true", help="skip the first input line")
     p.add_argument(
@@ -211,8 +183,14 @@ def run_cli(argv=None) -> int:
         cfg = AscentConfig(args.iters, args.eta if args.eta == "auto" else float(args.eta))
     except ValueError as exc:
         parser.error(f"bad --iters or --eta: {exc}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.max_pairs < 0:
         parser.error(f"--max-pairs must be >= 0, got {args.max_pairs}")
+    if args.mode == "rows" and args.max_pairs > 0:
+        parser.error("--max-pairs applies to pairwise mode only")
+    if args.mode == "rows" and args.dedup:
+        parser.error("--dedup applies to pairwise mode only")
     if not 0.0 <= args.rank_tol < 1.0:
         parser.error(f"--rank-tol must be in [0, 1), got {args.rank_tol}")
     methods = [m for m in args.baselines.split(",") if m]
@@ -236,6 +214,7 @@ def run_cli(argv=None) -> int:
             baselines["random"] = primal_distortion(
                 units, random_orthonormal_basis(units.d, args.k, args.seed)
             )
+        duality_sandwich_check(result, bounds)
         emit_report(
             result,
             bounds,

@@ -39,7 +39,6 @@ from .types import (
     DirectionSet,
     PointSet,
     _freeze,
-    blocks_fingerprint,
     check_unit_rows,
     row_moment,
     row_sq_proj,
@@ -126,7 +125,7 @@ class PairDifferenceSet(DirectionSet):
             check_unit_rows(self._exact, kept)
         sizes = np.arange(r - 1, 0, -1)
         self._starts = np.cumsum(sizes) - sizes  # the row of pair (i, i + 1)
-        self._X = self._fingerprint = self._upper = None
+        self._X = self._upper = None
 
     @property
     def n(self) -> int:
@@ -155,13 +154,6 @@ class PairDifferenceSet(DirectionSet):
                 a += block.shape[0]
             self._X = _freeze(X)
         return self._X
-
-    def fingerprint(self) -> str:
-        """matrix_fingerprint of ``X``, streamed one point's rows at a time
-        and kept."""
-        if self._fingerprint is None:
-            self._fingerprint = blocks_fingerprint((self.n, self.d), self._unit_blocks())
-        return self._fingerprint
 
     def moment(self, w) -> np.ndarray:
         if self._holes.size:

@@ -80,15 +80,11 @@ def uniform_moment_matrix(X) -> np.ndarray:
 
     Its top-k eigenvectors are the PCA basis (the ascent's t = 0 iterate),
     and n times its eigenvalues are the squared singular values of X. Raw
-    rows are checked; a DirectionSet builds the matrix on first use and
-    keeps it, as it keeps its fingerprint: its directions cannot change.
+    rows are checked and get a new matrix on every call; a DirectionSet
+    builds the matrix on first use and keeps it, as it keeps its
+    fingerprint (see ``DirectionSet``).
     """
-    X = as_unit_vector_set(X)
-    if X._uniform_moment is None:
-        M = X.moment(np.full(X.n, 1.0 / X.n))
-        M.flags.writeable = False
-        object.__setattr__(X, "_uniform_moment", M)
-    return X._uniform_moment
+    return as_unit_vector_set(X)._uniform_moment
 
 
 def _canonical_signs(V):

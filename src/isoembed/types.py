@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,10 +130,12 @@ class DirectionSet(ABC):
     ``pairs.PairDifferenceSet`` holds the points whose normalised
     differences they are. The methods check nothing: callers check their
     arguments once, at the API boundary.
-    """
 
-    # M(uniform), kept by spectral.uniform_moment_matrix on first use.
-    _uniform_moment: np.ndarray | None = None
+    The directions cannot change, so this class computes two values on
+    first use and keeps them: the fingerprint, hashed from the blocks of
+    ``_unit_blocks()``, and M(uniform), which
+    ``spectral.uniform_moment_matrix`` returns.
+    """
 
     @property
     @abstractmethod
@@ -143,8 +146,9 @@ class DirectionSet(ABC):
     def d(self) -> int: ...
 
     @abstractmethod
-    def fingerprint(self) -> str:
-        """matrix_fingerprint of the n x d matrix of the directions."""
+    def _unit_blocks(self):
+        """The rows of the n x d matrix of the directions, in order, as
+        C-contiguous float64 blocks."""
 
     @abstractmethod
     def moment(self, w) -> np.ndarray:
@@ -159,6 +163,20 @@ class DirectionSet(ABC):
     def rows(self, idx) -> np.ndarray:
         """The directions of the given row indices, as a new dense array."""
 
+    def fingerprint(self) -> str:
+        """matrix_fingerprint of the n x d matrix of the directions."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return blocks_fingerprint((self.n, self.d), self._unit_blocks())
+
+    @cached_property
+    def _uniform_moment(self) -> np.ndarray:
+        M = self.moment(np.full(self.n, 1.0 / self.n))
+        M.flags.writeable = False
+        return M
+
 
 @dataclass(frozen=True)
 class UnitVectorSet(DirectionSet):
@@ -172,10 +190,6 @@ class UnitVectorSet(DirectionSet):
     """
 
     X: np.ndarray
-    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
-    _uniform_moment: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         X = as_float_matrix(self.X, "X")
@@ -192,12 +206,8 @@ class UnitVectorSet(DirectionSet):
     def d(self) -> int:
         return self.X.shape[1]
 
-    def fingerprint(self) -> str:
-        """matrix_fingerprint of the rows, hashed on first use only: the
-        frozen rows cannot change afterwards."""
-        if self._fingerprint is None:
-            object.__setattr__(self, "_fingerprint", matrix_fingerprint(self.X))
-        return self._fingerprint
+    def _unit_blocks(self):
+        return (self.X,)
 
     def moment(self, w) -> np.ndarray:
         return row_moment(self.X, w)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
+from isoembed import ascent
 from oracles import clustered_rows, fd_dual_gradient, random_simplex_point, unit_rows
 
 
@@ -297,6 +298,38 @@ def test_one_projection_product_per_evaluated_iterate(monkeypatch):
         calls.clear()
         ie.run_projected_ascent(units, 2, ie.AscentConfig(T=T))
         assert len(calls) == T + 2  # t = 0, T steps, the average iterate
+
+
+def test_a_run_builds_two_distortion_reports(monkeypatch):
+    calls = []
+    real = ascent._distortion_report
+    monkeypatch.setattr(ascent, "_distortion_report", lambda s: calls.append(1) or real(s))
+    X = unit_rows(np.random.default_rng(46), 20, 4)
+    for T in (0, 7):
+        calls.clear()
+        ie.run_projected_ascent(X, 2, ie.AscentConfig(T=T))
+        assert len(calls) == 2, T  # the selected and the PCA iterate
+
+
+@st.composite
+def squared_projections(draw):
+    """Nonnegative s with entries at and above 1, exact ties and
+    neighbours one ulp apart."""
+    base = draw(
+        st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0), min_size=1, max_size=5)
+    )
+    s = []
+    for x in base:
+        s += [x] * draw(st.integers(1, 2))
+        s += [np.nextafter(x, to) for to in draw(st.lists(st.sampled_from([0.0, 3.0]), max_size=2))]
+    return np.array(draw(st.permutations(s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(squared_projections())
+def test_iterate_epsilon_is_bitwise_the_distortion_report_epsilon(s):
+    want = ascent._distortion_report(s).epsilon
+    assert np.float64(max(1.0 - s.min(), 0.0)).tobytes() == np.float64(want).tobytes()
 
 
 def test_k_out_of_range():

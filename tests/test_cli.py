@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -63,7 +64,7 @@ def test_happy_path_report_and_trace(tmp_path, small_input):
     assert lines[-1].startswith("avg,")
 
 
-def test_usage_errors_exit_2(small_input):
+def test_usage_errors_exit_2(small_input, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--input", str(small_input), "--k", "0"])
     assert exc.value.code == 2
@@ -76,7 +77,11 @@ def test_usage_errors_exit_2(small_input):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--input", str(small_input), "--k", "99"])
     assert exc.value.code == 2
-    for flag, value in (
+    # The remaining errors are found before the input is read.
+    reads = []
+    monkeypatch.setattr(cli, "load_points", lambda *a, **kw: reads.append(1))
+    capsys.readouterr()
+    for args in (
         ("--eta", "-1"),
         ("--eta", "nan"),
         ("--eta", "inf"),
@@ -84,10 +89,16 @@ def test_usage_errors_exit_2(small_input):
         ("--rank-tol", "-0.5"),
         ("--rank-tol", "nan"),
         ("--max-pairs", "-1"),
+        ("--seed", "-1"),
+        ("--mode", "rows", "--max-pairs", "5"),
+        ("--mode", "rows", "--dedup"),
     ):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["--input", str(small_input), "--k", "2", flag, value])
-        assert exc.value.code == 2, (flag, value)
+            run_cli(["--input", str(small_input), "--k", "2", *args])
+        assert exc.value.code == 2, args
+        flag = [a for a in args if a.startswith("--")][-1]
+        assert flag in capsys.readouterr().err, args
+    assert reads == []
 
 
 def test_k_above_d_is_refused_before_the_pair_build(small_input, capsys, monkeypatch):
@@ -263,21 +274,26 @@ def test_reports_are_byte_identical(tmp_path, small_input):
 
 def test_report_field_order_is_fixed(tmp_path, small_input):
     out = tmp_path / "r.json"
-    run_cli(
-        [
-            "--input", str(small_input),
-            "--k", "1",
-            "--iters", "2",
-            "--baselines", "pca",
-            "--out", str(out),
-        ]
-    )
-    keys = list(json.loads(out.read_text()).keys())
-    assert keys == [
-        "n", "d", "k", "iters", "eta", "mode", "epsilon_alg", "selected_iterate",
-        "dual_best", "epsilon_pca", "bound_sigma", "bound_kappa", "rank", "kappa",
-        "sigma_max", "degenerate_iterations", "runtime_seconds", "input_fingerprint",
-    ]
+    for baselines, epsilons in (
+        ("pca", ["epsilon_pca"]),
+        ("random", ["epsilon_random"]),
+        ("pca,random", ["epsilon_pca", "epsilon_random"]),
+    ):
+        run_cli(
+            [
+                "--input", str(small_input),
+                "--k", "1",
+                "--iters", "2",
+                "--baselines", baselines,
+                "--out", str(out),
+            ]
+        )
+        keys = list(json.loads(out.read_text()).keys())
+        assert keys == [
+            "n", "d", "k", "iters", "eta", "mode", "epsilon_alg", "selected_iterate",
+            "dual_best", *epsilons, "bound_sigma", "bound_kappa", "rank", "kappa",
+            "sigma_max", "degenerate_iterations", "runtime_seconds", "input_fingerprint",
+        ], baselines
 
 
 def test_stdout_report_when_no_out(capsys, small_input):
@@ -315,6 +331,21 @@ def test_run_hashes_and_builds_the_pca_solution_once(tmp_path, small_input, monk
     assert rc == 0
     assert len(hashes) == 1
     assert len(moments) == 6 + 2  # t = 0, six steps, the average iterate
+
+
+def test_weak_duality_violation_exits_1_without_a_report(tmp_path, small_input, capsys, monkeypatch):
+    real = cli.run_projected_ascent
+
+    def violating(*args):
+        res = real(*args)
+        return dataclasses.replace(res, best_dual_value=res.distortion.epsilon + 1e-3)
+
+    monkeypatch.setattr(cli, "run_projected_ascent", violating)
+    out = tmp_path / "r.json"
+    rc = run_cli(["--input", str(small_input), "--k", "2", "--iters", "3", "--out", str(out)])
+    assert rc == 1
+    assert "weak duality violated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_out_path_exits_1(tmp_path, small_input, capsys):

@@ -119,16 +119,19 @@ def test_moment_weights_must_be_nonnegative(fn, error, bad, message):
 
 def test_uniform_moment_matrix_is_the_cached_read_only_t0_matrix():
     rng = np.random.default_rng(25)
-    X = unit_rows(rng, 30, 5)
-    M = ie.uniform_moment_matrix(X)
-    assert np.array_equal(M, ie.weighted_moment_matrix(X, np.full(30, 1.0 / 30)))
-    assert ie.uniform_moment_matrix(X) is M
-    raw = ie.uniform_moment_matrix(X.X)
-    assert np.array_equal(raw, M) and raw is not M
-    for m in (M, raw):
-        assert not m.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            m[0, 0] = 1.0
+    rows = unit_rows(rng, 30, 5)
+    pairs = ie.pairwise_unit_differences(ie.PointSet(rng.standard_normal((9, 5))))
+    # Pair directions build M from a Laplacian, their raw rows densely.
+    for X, raw_atol in ((rows, 0.0), (pairs, 1e-15)):
+        M = ie.uniform_moment_matrix(X)
+        assert np.array_equal(M, ie.weighted_moment_matrix(X, np.full(X.n, 1.0 / X.n)))
+        assert ie.uniform_moment_matrix(X) is M
+        raw = ie.uniform_moment_matrix(X.X)
+        assert np.allclose(raw, M, rtol=0.0, atol=raw_atol) and raw is not M
+        for m in (M, raw):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
 
 
 def test_top_k_diagonal_cases():
