@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .simplex import project_to_simplex
+from .simplex import _project_in_place
 from .spectral import top_k_eigenpairs, uniform_moment_matrix, weighted_moment_matrix
 from .types import DirectionSet, OrthonormalBasis, SimplexWeights, as_unit_vector_set
 
@@ -210,35 +211,47 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     else:
         eta = float(cfg.step_size)
 
-    # The uniform weights as a zero-stride view: pca holds no length-n buffer.
-    pca = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
-    best = cur = pca
-    trace = [pca.record(0, best)]
-    lam_sum = np.zeros(n)
-    support = 0  # summed over the steps: the moment kernel reads these rows
-    for t in range(1, T + 1):
-        lam = project_to_simplex(cur.lam + eta * _gradient(cur.s)).lam
-        lam_sum += lam
-        support += np.count_nonzero(lam)
-        del cur  # spent: freed before the next moment build unless best or pca
-        cur = _evaluate(X, X.moment(lam), lam, k)
-        if cur.epsilon < best.epsilon:
-            best = cur
-        trace.append(cur.record(t, best))
+    # The fingerprint is hashed on a helper thread during the solve (hashlib
+    # and numpy release the GIL). Nothing may read X.fingerprint() before
+    # the block ends and joins it: cached_property has no lock on Python
+    # >= 3.12, so a second reader would hash again. An error in the solve
+    # leaves the block once the hash ends, unmasked by it.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fingerprint = pool.submit(X.fingerprint)
+        # The uniform weights as a zero-stride view: pca holds no length-n buffer.
+        pca = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
+        best = cur = pca
+        trace = [pca.record(0, best)]
+        lam_sum = np.zeros(n)
+        support = 0  # summed over the steps: the moment kernel reads these rows
+        for t in range(1, T + 1):
+            # lam + eta * _gradient(s), bitwise, projected in place: y becomes lam.
+            y = np.clip(cur.s, 0.0, 1.0)
+            y *= -eta
+            y += cur.lam
+            lam = _project_in_place(y)
+            lam_sum += lam
+            support += np.count_nonzero(lam)
+            del cur  # spent: freed before the next moment build unless best or pca
+            cur = _evaluate(X, X.moment(lam), lam, k)
+            if cur.epsilon < best.epsilon:
+                best = cur
+            trace.append(cur.record(t, best))
+        del cur  # freed before the average iterate's moment unless best or pca
 
-    records = list(trace)
-    selected = "best"
-    if T >= 1:
-        lam_sum /= T  # in place: the average weights
-        logger.info(
-            "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
-            support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
-        )
-        avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)
-        # Average wins ties: the best iterate is kept only on strict improvement.
-        if not (best.epsilon < avg.epsilon):
-            selected, best = "average", avg
-        records.append(avg.record(T, best))
+        records = list(trace)
+        selected = "best"
+        if T >= 1:
+            lam_sum /= T  # in place: the average weights
+            logger.info(
+                "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
+                support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
+            )
+            avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)
+            # Average wins ties: the best iterate is kept only on strict improvement.
+            if not (best.epsilon < avg.epsilon):
+                selected, best = "average", avg
+            records.append(avg.record(T, best))
 
     n_degen = sum(r.degenerate for r in records)
     if n_degen:
@@ -255,6 +268,6 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
         step_size=eta,
         pca_distortion=_distortion_report(pca.s),
         average_record=records[-1] if T >= 1 else None,
-        fingerprint=X.fingerprint(),
+        fingerprint=fingerprint.result(),
         degenerate_iterations=n_degen,
     )

@@ -5,18 +5,20 @@ Row (i, j), i < j, in row-major order, is u_ij = (p_i - p_j)/||p_i - p_j||.
 With the centred points P_c = P - mean(P) and D_ij = ||p_i - p_j||^2:
 
 - ``sq_proj``: s_ij = ||V'u_ij||^2 = ||Y_i - Y_j||^2 / D_ij with
-  Y = P_c V (r x k), taken as differences of k-vectors one point at a time.
-  The Gram expansion ||Y_i||^2 + ||Y_j||^2 - 2 Y_i'Y_j would cancel for
-  close pairs.
+  Y = P_c V (r x k), every ||Y_i - Y_j||^2 at once by the Gram expansion
+  |Y_i|^2 + |Y_j|^2 - 2 Y_i'Y_j: one r x r product
+  [Y, |Y|^2, 1] [-2Y, 1, |Y|^2]', read on its upper triangle. The
+  expansion cancels when the pair is short against |Y_i| and |Y_j|, and
+  can then come out below 0, so it is clamped at 0.
 - ``moment``: M(w) = sum_ij w_ij u_ij u_ij' = P_c' L P_c, L the graph
   Laplacian of the upper-triangular r x r matrix C with c_ij = w_ij / D_ij.
   With deg the row plus column sums of C, M = A'A - (G + G') where
   A = diag(sqrt(deg)) P_c and G = P_c' C P_c. Both terms are exactly
   symmetric, so M is.
 
-Both forms lose digits in proportion to kappa_ij = max(|p_i - m|,
-|p_j - m|) / ||p_i - p_j|| (about kappa u relative in s and kappa^2 u in
-M, u the unit roundoff). A pair with kappa above KAPPA_LIMIT, or whose D_ij
+Both forms lose digits in proportion to kappa_ij^2, kappa_ij = max(|p_i -
+m|, |p_j - m|) / ||p_i - p_j||: s and M are off by about kappa^2 u, u the
+unit roundoff. A pair with kappa above KAPPA_LIMIT, or whose D_ij
 overflows, takes the exact route: its unit row is held dense, built as
 ``X`` builds it, enters s and M directly and gets zero Laplacian weight
 (D_ij is stored as inf).
@@ -31,6 +33,7 @@ fingerprint.
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +54,6 @@ KAPPA_LIMIT = 32.0
 logger = logging.getLogger(__name__)
 
 _TINY = np.finfo(np.float64).tiny
-# Pair differences that sq_proj squares and sums per einsum call.
-_CHUNK = 1 << 14
 
 
 def _point_blocks(P):
@@ -125,7 +126,6 @@ class PairDifferenceSet(DirectionSet):
             check_unit_rows(self._exact, kept)
         sizes = np.arange(r - 1, 0, -1)
         self._starts = np.cumsum(sizes) - sizes  # the row of pair (i, i + 1)
-        self._X = self._upper = None
 
     @property
     def n(self) -> int:
@@ -142,26 +142,28 @@ class PairDifferenceSet(DirectionSet):
                 diffs, norms = diffs[keep], norms[keep]
             yield np.divide(diffs, norms[:, None], out=diffs)
 
-    @property
+    @cached_property
     def X(self) -> np.ndarray:
         """The n x d unit rows, each difference divided by its
         np.linalg.norm, read-only. Built on first access and kept."""
-        if self._X is None:
-            X = np.empty((self.n, self.d))
-            a = 0
-            for block in self._unit_blocks():
-                X[a : a + block.shape[0]] = block
-                a += block.shape[0]
-            self._X = _freeze(X)
-        return self._X
+        X = np.empty((self.n, self.d))
+        a = 0
+        for block in self._unit_blocks():
+            X[a : a + block.shape[0]] = block
+            a += block.shape[0]
+        return _freeze(X)
+
+    @cached_property
+    def _upper(self) -> np.ndarray:
+        """The pairs' places in an r x r matrix, row-major like the pairs."""
+        r = self.points.r
+        return np.triu(np.ones((r, r), dtype=bool), 1)
 
     def moment(self, w) -> np.ndarray:
         if self._holes.size:
             w = np.insert(w, self._slots, 0.0)
         Pc = self._centred
         r = Pc.shape[0]
-        if self._upper is None:  # the pairs' places in C, row-major like the pairs
-            self._upper = np.triu(np.ones((r, r), dtype=bool), 1)
         C = np.zeros((r, r))
         C[self._upper] = w / self._sq
         deg = C.sum(axis=0)
@@ -176,23 +178,15 @@ class PairDifferenceSet(DirectionSet):
 
     def sq_proj(self, V) -> np.ndarray:
         Y = self._centred @ V
-        r = Y.shape[0]
-        s = np.empty(self._sq.size)
-        # Point i's differences Y_j - Y_i, j > i, are the next r - 1 - i
-        # entries of s. They are gathered in buf, squared and summed once it
-        # is full: one einsum per point would cost more than the arithmetic.
-        buf = np.empty((max(_CHUNK, r - 1), Y.shape[1]))
-        lo = fill = 0
-        for i in range(r - 1):
-            if fill + r - 1 - i > len(buf):
-                np.einsum("ij,ij->i", buf[:fill], buf[:fill], out=s[lo : lo + fill])
-                lo, fill = lo + fill, 0
-            np.subtract(Y[i + 1 :], Y[i], out=buf[fill : fill + r - 1 - i])
-            fill += r - 1 - i
-        np.einsum("ij,ij->i", buf[:fill], buf[:fill], out=s[lo : lo + fill])
+        q = np.einsum("ij,ij->i", Y, Y)[:, None]
+        one = np.ones_like(q)
         # Only exact-route pairs and holes (D_ij = inf) can overflow or give
-        # inf/inf here, and their entries are replaced or deleted below.
+        # inf - inf here, and their entries are replaced or deleted below.
         with np.errstate(over="ignore", invalid="ignore"):
+            G = np.hstack([Y, q, one]) @ np.hstack([-2.0 * Y, one, q]).T
+            s = G[self._upper]
+            del G
+            np.maximum(s, 0.0, out=s)
             s /= self._sq
         if self._labels.size:
             s[self._labels] = row_sq_proj(self._exact, V)

@@ -62,10 +62,16 @@ def project_to_simplex(y) -> SimplexWeights:
         raise ValueError("input must be a non-empty 1-d vector")
     if not np.isfinite(y).all():
         raise ValueError("input contains non-finite entries")
+    return SimplexWeights(_project_in_place(y.copy()))
+
+
+def _project_in_place(z: np.ndarray) -> np.ndarray:
+    """project_to_simplex on a non-empty, finite, writable float64 vector
+    (unchecked), overwriting it with the projection and returning it."""
     # Shifting every entry by one constant leaves the projection unchanged.
     # Shifted by the largest, the entries that stay positive lie within 1 of
     # 0 and are exact differences, so large inputs do not cancel below.
-    z = y - y.max()
+    z -= z.max()
     for c in (_support_superset(z), z):
         u = np.sort(c)[::-1]
         css = np.cumsum(u)
@@ -77,7 +83,7 @@ def project_to_simplex(y) -> SimplexWeights:
             break
     alpha = (1.0 - css[rho - 1]) / rho
     z += alpha
-    return SimplexWeights(np.maximum(z, 0.0, out=z))
+    return np.maximum(z, 0.0, out=z)
 
 
 def is_on_simplex(w, tol: float = SIMPLEX_TOL) -> bool:

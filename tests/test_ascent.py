@@ -1,6 +1,8 @@
 import logging
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -355,14 +357,14 @@ def test_run_logs_the_support_of_lambda(caplog, monkeypatch):
     from isoembed import ascent
 
     lams = []
-    real = ascent.project_to_simplex
+    real = ascent._project_in_place
 
     def recording(y):
-        w = real(y)
-        lams.append(w.lam)
-        return w
+        lam = real(y)
+        lams.append(lam.copy())
+        return lam
 
-    monkeypatch.setattr(ascent, "project_to_simplex", recording)
+    monkeypatch.setattr(ascent, "_project_in_place", recording)
     X = clustered_rows(np.random.default_rng(46), 200, 6)
     with caplog.at_level(logging.INFO, logger="isoembed.ascent"):
         ie.run_projected_ascent(X, 2, ie.AscentConfig(T=10))
@@ -404,3 +406,54 @@ def test_run_whose_lambda_loses_support_matches_a_dense_moment(monkeypatch):
     assert np.abs(ref.lambda_selected.lam - res.lambda_selected.lam).max() <= 1e-12
     assert abs(ref.distortion.epsilon - res.distortion.epsilon) <= 1e-12
     assert abs(ref.best_dual_value - res.best_dual_value) <= 1e-12
+
+
+# ---------------------------------------------------------------- fingerprint thread
+
+
+def _pair_set(seed=47):
+    P = np.random.default_rng(seed).standard_normal((40, 5))
+    return ie.pairwise_unit_differences(ie.PointSet(P))
+
+
+def test_a_run_its_bounds_and_the_fingerprint_hash_the_rows_once(monkeypatch):
+    calls = []
+    real = ie.PairDifferenceSet._unit_blocks
+    monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", lambda X: calls.append(1) or real(X))
+    pairs = _pair_set()
+    threads = threading.active_count()
+    res = ie.run_projected_ascent(pairs, 2, ie.AscentConfig(T=5))
+    assert threading.active_count() == threads  # the helper thread is joined
+    bound = ie.approximation_bound(pairs)
+    assert res.fingerprint == bound.fingerprint == pairs.fingerprint()
+    assert len(calls) == 1
+    assert res.fingerprint == ie.matrix_fingerprint(pairs.X)  # X reads the rows again
+
+
+def test_an_error_in_the_hash_surfaces_from_the_run(monkeypatch):
+    def failing(X):
+        raise RuntimeError("hash failed")
+        yield
+
+    monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="hash failed"):
+        ie.run_projected_ascent(_pair_set(), 2, ie.AscentConfig(T=3))
+    assert threading.active_count() == threads
+
+
+def test_an_error_in_the_solve_is_not_masked_by_the_pending_hash(monkeypatch):
+    def slow_failing(X):
+        time.sleep(0.2)  # still hashing when the solve fails
+        raise RuntimeError("hash failed")
+        yield
+
+    def failing_eigh(M, k):
+        raise ValueError("solve failed")
+
+    monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", slow_failing)
+    monkeypatch.setattr(ascent, "top_k_eigenpairs", failing_eigh)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="solve failed"):
+        ie.run_projected_ascent(_pair_set(), 2, ie.AscentConfig(T=3))
+    assert threading.active_count() == threads

@@ -102,15 +102,22 @@ def test_every_step_of_a_pairwise_run_matches_the_full_sort(monkeypatch):
     centres = 3.0 * rng.standard_normal((8, 6))
     P = centres[rng.integers(0, 8, 200)] + 0.3 * rng.standard_normal((200, 6))
     units = ie.pairwise_unit_differences(ie.PointSet(P))
-    ys = []
-    real = ascent.project_to_simplex
-    monkeypatch.setattr(ascent, "project_to_simplex", lambda y: ys.append(y.copy()) or real(y))
+    ys, lams = [], []
+    real = ascent._project_in_place
+
+    def recording(y):
+        ys.append(y.copy())
+        lams.append(real(y))
+        return lams[-1]
+
+    monkeypatch.setattr(ascent, "_project_in_place", recording)
     ie.run_projected_ascent(units, 2, ie.AscentConfig(T=30))
     assert units.n == 19_900 and len(ys) == 30
     candidates = [simplex._support_superset(y - y.max()).size for y in ys]
     assert max(candidates) < units.n  # every step sorted fewer than n entries
-    for y in ys:
+    for y, lam in zip(ys, lams):
         assert same_bits(ie.project_to_simplex(y).lam, sort_simplex_projection(y))
+        assert same_bits(lam, sort_simplex_projection(y))  # the in-place projection too
 
 
 def test_candidate_rounds_stop_at_the_round_limit(monkeypatch):
