@@ -55,12 +55,19 @@ class AscentConfig:
 
 
 @dataclass(frozen=True)
-class DistortionReport:
-    """Per-vector distortions phi_i = 1 - ||V'x_i||^2 and their maximum."""
+class WorstDistortion:
+    """The worst distortion epsilon = max_i phi_i, phi_i = 1 - ||V'x_i||^2
+    clipped at 0, and argmax, the first index attaining it (0-based)."""
 
-    phi: np.ndarray
     epsilon: float
     argmax: int
+
+
+@dataclass(frozen=True)
+class DistortionReport(WorstDistortion):
+    """The worst distortion together with every phi_i."""
+
+    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,14 +86,14 @@ class EmbeddingResult:
     """Outcome of a projected-ascent run."""
 
     basis: OrthonormalBasis
-    distortion: DistortionReport
+    distortion: WorstDistortion
     trace: list[IterationRecord]
     selected_iterate: str  # "best" or "average"
     lambda_selected: SimplexWeights
     best_dual_value: float
     step_size: float
     # The t = 0 (uniform-weight) iterate's distortion: bitwise the PCA baseline.
-    pca_distortion: DistortionReport
+    pca_distortion: WorstDistortion
     average_record: IterationRecord | None = None
     fingerprint: str = ""
     degenerate_iterations: int = 0
@@ -97,7 +104,21 @@ def _distortion_report(s) -> DistortionReport:
     # phi is nonnegative in exact arithmetic; clear the roundoff dust.
     np.clip(phi, 0.0, None, out=phi)
     idx = int(np.argmax(phi))
-    return DistortionReport(phi=phi, epsilon=float(phi[idx]), argmax=idx)
+    return DistortionReport(epsilon=float(phi[idx]), argmax=idx, phi=phi)
+
+
+def _worst_distortion(s) -> WorstDistortion:
+    """_distortion_report(s) without phi: bitwise its epsilon and argmax."""
+    i = int(np.argmin(s))
+    # Rounding 1 - x is monotone, so epsilon is 1 - min(s) clipped at 0.
+    epsilon = max(1.0 - float(s[i]), 0.0)
+    if epsilon == 0.0:
+        return WorstDistortion(0.0, 0)  # phi is all 0
+    # An entry whose 1 - s_j rounds to epsilon too is within one spacing of
+    # epsilon (at most 2^-52) of min(s), and 2^-51 keeps that margin once
+    # the sum is rounded. The first such entry attains epsilon.
+    near = np.flatnonzero(s <= s[i] + 2.0**-51)
+    return WorstDistortion(epsilon, int(near[np.argmax(1.0 - s[near] == epsilon)]))
 
 
 def _gradient(s):
@@ -165,14 +186,14 @@ def default_step_size(n: int, T: int) -> float:
 
 @dataclass(frozen=True)
 class _Iterate:
-    """An evaluated iterate: its squared projections s_i = ||V'x_i||^2,
-    which feed the next step, epsilon = max_i (1 - s_i) clipped at 0, and
-    the dual g(lam) clipped to [0, 1]."""
+    """An evaluated iterate: its worst distortion epsilon, attained first at
+    argmax, and the dual g(lam) clipped to [0, 1]. It holds no length-n
+    vector besides lam."""
 
     lam: np.ndarray
     basis: OrthonormalBasis
-    s: np.ndarray
     epsilon: float
+    argmax: int
     dual: float
     degenerate: bool
 
@@ -181,15 +202,14 @@ class _Iterate:
 
 
 def _evaluate(X, M, lam, k):
-    """Eigendecompose M = M(lam) and score its basis."""
+    """Eigendecompose M = M(lam) and score its basis: the iterate, and its
+    squared projections s_i = ||V'x_i||^2, which feed the next step."""
     state = top_k_eigenpairs(M, k)
     s = X.sq_proj(state.basis.V)
-    # Bitwise the max of _distortion_report's clip(1 - s, 0): rounding
-    # 1 - x is monotone in x.
-    epsilon = max(1.0 - float(s.min()), 0.0)
+    worst = _worst_distortion(s)
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
     degenerate = state.spectral_gap < DEGENERACY_TOL
-    return _Iterate(lam, state.basis, s, epsilon, dual, degenerate)
+    return _Iterate(lam, state.basis, worst.epsilon, worst.argmax, dual, degenerate), s
 
 
 def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> EmbeddingResult:
@@ -219,25 +239,27 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     with ThreadPoolExecutor(max_workers=1) as pool:
         fingerprint = pool.submit(X.fingerprint)
         # The uniform weights as a zero-stride view: pca holds no length-n buffer.
-        pca = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
+        pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
         best = cur = pca
         trace = [pca.record(0, best)]
         lam_sum = np.zeros(n)
         support = 0  # summed over the steps: the moment kernel reads these rows
         for t in range(1, T + 1):
-            # lam + eta * _gradient(s), bitwise, projected in place: y becomes lam.
-            y = np.clip(cur.s, 0.0, 1.0)
+            # lam + eta * _gradient(s), bitwise, projected in place: y becomes
+            # lam. (Forming y in s's buffer instead keeps one vector fewer, but
+            # glibc then trims and re-maps the heap: 16x the page faults.)
+            y = np.clip(s, 0.0, 1.0)
             y *= -eta
             y += cur.lam
+            del s, cur  # spent: freed before the projection, its lam unless best
             lam = _project_in_place(y)
             lam_sum += lam
             support += np.count_nonzero(lam)
-            del cur  # spent: freed before the next moment build unless best or pca
-            cur = _evaluate(X, X.moment(lam), lam, k)
+            cur, s = _evaluate(X, X.moment(lam), lam, k)
             if cur.epsilon < best.epsilon:
                 best = cur
             trace.append(cur.record(t, best))
-        del cur  # freed before the average iterate's moment unless best or pca
+        del s, cur  # freed before the average iterate's moment unless best
 
         records = list(trace)
         selected = "best"
@@ -247,7 +269,7 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
                 "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
                 support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
             )
-            avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)
+            avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)[0]
             # Average wins ties: the best iterate is kept only on strict improvement.
             if not (best.epsilon < avg.epsilon):
                 selected, best = "average", avg
@@ -260,13 +282,13 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
 
     return EmbeddingResult(
         basis=best.basis,
-        distortion=_distortion_report(best.s),
+        distortion=WorstDistortion(best.epsilon, best.argmax),
         trace=trace,
         selected_iterate=selected,
         lambda_selected=SimplexWeights(best.lam),
         best_dual_value=max(r.dual_value for r in records),
         step_size=eta,
-        pca_distortion=_distortion_report(pca.s),
+        pca_distortion=WorstDistortion(pca.epsilon, pca.argmax),
         average_record=records[-1] if T >= 1 else None,
         fingerprint=fingerprint.result(),
         degenerate_iterations=n_degen,

@@ -48,7 +48,7 @@ def emit_report(result, bounds, baselines, path, *, n, d, k, iters, eta, mode):
     The fields are written in the order of one list of (field, value)
     pairs; floats carry 17 significant digits, infinities are serialized as
     the string "inf"; the output is byte-reproducible. ``baselines`` maps
-    method name -> DistortionReport: its "pca" and "random" entries give
+    method name -> WorstDistortion: its "pca" and "random" entries give
     the optional epsilon_pca and epsilon_random fields, after dual_best.
     """
     fields = [

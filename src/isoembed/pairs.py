@@ -5,16 +5,27 @@ Row (i, j), i < j, in row-major order, is u_ij = (p_i - p_j)/||p_i - p_j||.
 With the centred points P_c = P - mean(P) and D_ij = ||p_i - p_j||^2:
 
 - ``sq_proj``: s_ij = ||V'u_ij||^2 = ||Y_i - Y_j||^2 / D_ij with
-  Y = P_c V (r x k), every ||Y_i - Y_j||^2 at once by the Gram expansion
-  |Y_i|^2 + |Y_j|^2 - 2 Y_i'Y_j: one r x r product
-  [Y, |Y|^2, 1] [-2Y, 1, |Y|^2]', read on its upper triangle. The
-  expansion cancels when the pair is short against |Y_i| and |Y_j|, and
-  can then come out below 0, so it is clamped at 0.
+  Y = P_c V (r x k), each ||Y_i - Y_j||^2 by the Gram expansion
+  |Y_i|^2 + |Y_j|^2 - 2 Y_i'Y_j, the entries of the product
+  [Y, |Y|^2, 1] [-2Y, 1, |Y|^2]'. The expansion cancels when the pair is
+  short against |Y_i| and |Y_j|, and can then come out below 0, so it is
+  clamped at 0.
 - ``moment``: M(w) = sum_ij w_ij u_ij u_ij' = P_c' L P_c, L the graph
   Laplacian of the upper-triangular r x r matrix C with c_ij = w_ij / D_ij.
   With deg the row plus column sums of C, M = A'A - (G + G') where
   A = diag(sqrt(deg)) P_c and G = P_c' C P_c. Both terms are exactly
   symmetric, so M is.
+
+Neither kernel forms an r x r array. Both walk the upper triangle in blocks
+of h rows, about _BLOCK_ENTRIES entries each: rows a..b-1 are paired only
+with the columns a+1..r-1, so the products skip the lower triangle, about
+half of a dense r x r product's work. ``sq_proj`` computes the block
+[Y, |Y|^2, 1][a:b] [-2Y, 1, |Y|^2][a+1:]' and gathers its upper entries,
+the pairs lo..hi-1 of rows a..b-1. ``moment`` scatters w / D of those
+pairs into the block C[a:b, a+1:], adds its row and column sums to deg
+and writes the rows a..b-1 of C P_c. One h x (r - 1) triangular template,
+sliced per block, does the gather and the scatter. A call's working set
+is one block besides its length-n input or output.
 
 Both forms lose digits in proportion to kappa_ij^2, kappa_ij = max(|p_i -
 m|, |p_j - m|) / ||p_i - p_j||: s and M are off by about kappa^2 u, u the
@@ -27,7 +38,7 @@ A pair is coincident when D_ij is below the smallest normal float (points
 closer than about 1.5e-154). Dropped coincident pairs are holes: they keep
 their place in the row-major C(r, 2) order of the arrays above, with D_ij
 stored as inf, and are left out of n, s, ``X``, ``rows`` and the
-fingerprint.
+fingerprint. A block inserts or deletes only its own holes.
 """
 
 from __future__ import annotations
@@ -50,6 +61,10 @@ from .types import (
 # kappa above this sends a pair to the exact route. On the perfbench inputs
 # the largest kappa is 19, so none of their pairs takes it.
 KAPPA_LIMIT = 32.0
+
+# About this many pair entries per row block of sq_proj and moment (module
+# docstring): 512 KB of float64, about an L2 cache.
+_BLOCK_ENTRIES = 1 << 16
 
 logger = logging.getLogger(__name__)
 
@@ -119,13 +134,15 @@ class PairDifferenceSet(DirectionSet):
                 raise CoincidentPairError((1, 2))
         # The kept pairs before each hole: its place among the rows of the set.
         self._slots = self._holes - np.arange(self._holes.size)
+        # The exact-route pairs' places among the rows of the set.
         self._labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
+        self._labels -= np.searchsorted(self._holes, self._labels)
         self._exact = np.concatenate(rows) if rows else np.empty((0, P.shape[1]))
         if labels:  # ContractError names an overflowed row by its place in the set
-            kept = self._labels - np.searchsorted(self._holes, self._labels)
-            check_unit_rows(self._exact, kept)
-        sizes = np.arange(r - 1, 0, -1)
-        self._starts = np.cumsum(sizes) - sizes  # the row of pair (i, i + 1)
+            check_unit_rows(self._exact, self._labels)
+        sizes = np.arange(r - 1, -1, -1)
+        # The row of pair (i, i + 1) for i < r - 1, then the pair count.
+        self._starts = np.cumsum(sizes) - sizes
 
     @property
     def n(self) -> int:
@@ -154,22 +171,45 @@ class PairDifferenceSet(DirectionSet):
         return _freeze(X)
 
     @cached_property
-    def _upper(self) -> np.ndarray:
-        """The pairs' places in an r x r matrix, row-major like the pairs."""
+    def _template(self) -> np.ndarray:
+        """h x (r - 1) booleans, True on and above the diagonal: sliced to
+        [:b - a, :r - 1 - a], the pairs of rows a..b-1 among the columns
+        a+1..r-1. Its h is the block height."""
         r = self.points.r
-        return np.triu(np.ones((r, r), dtype=bool), 1)
+        h = max(1, min(r - 1, _BLOCK_ENTRIES // (r - 1)))
+        return np.triu(np.ones((h, r - 1), dtype=bool))
+
+    def _row_blocks(self):
+        """(a, b, lo, hi, kept, holes, T) for each block of rows a..b-1:
+        its pairs lo..hi-1 in row-major order, the slice of the set's rows
+        that the kept ones among them fill, the holes among them (row-major
+        indices) and T, the template slice that places them in the block
+        C[a:b, a+1:]."""
+        T = self._template
+        h, r = T.shape[0], self.points.r
+        for a in range(0, r - 1, h):
+            b = min(a + h, r - 1)
+            lo, hi = self._starts[a], self._starts[b]
+            i, j = np.searchsorted(self._holes, (lo, hi))
+            yield a, b, lo, hi, slice(lo - i, hi - j), self._holes[i:j], T[: b - a, : r - 1 - a]
 
     def moment(self, w) -> np.ndarray:
-        if self._holes.size:
-            w = np.insert(w, self._slots, 0.0)
         Pc = self._centred
-        r = Pc.shape[0]
-        C = np.zeros((r, r))
-        C[self._upper] = w / self._sq
-        deg = C.sum(axis=0)
-        deg += C.sum(axis=1)
+        deg = np.zeros(Pc.shape[0])
+        CP = np.empty((Pc.shape[0] - 1, Pc.shape[1]))  # C P_c without its zero last row
+        buf = np.empty(self._template.size)
+        for a, b, lo, hi, kept, holes, T in self._row_blocks():
+            wb = w[kept]
+            if holes.size:  # the kept pairs before each hole, in the block
+                wb = np.insert(wb, holes - lo - np.arange(holes.size), 0.0)
+            C = buf[: T.size].reshape(T.shape)
+            C.fill(0.0)
+            C[T] = wb / self._sq[lo:hi]
+            deg[a:b] += C.sum(axis=1)
+            deg[a + 1 :] += C.sum(axis=0)
+            np.matmul(C, Pc[a + 1 :], out=CP[a:b])
         A = Pc * np.sqrt(deg)[:, None]
-        G = Pc.T @ (C @ Pc)
+        G = Pc[:-1].T @ CP
         M = A.T @ A
         M -= G + G.T
         if self._labels.size:
@@ -180,18 +220,22 @@ class PairDifferenceSet(DirectionSet):
         Y = self._centred @ V
         q = np.einsum("ij,ij->i", Y, Y)[:, None]
         one = np.ones_like(q)
+        L = np.hstack([Y, q, one])
+        R = np.hstack([-2.0 * Y, one, q]).T
+        s = np.empty(self.n)
+        buf = np.empty(self._template.size)
         # Only exact-route pairs and holes (D_ij = inf) can overflow or give
         # inf - inf here, and their entries are replaced or deleted below.
         with np.errstate(over="ignore", invalid="ignore"):
-            G = np.hstack([Y, q, one]) @ np.hstack([-2.0 * Y, one, q]).T
-            s = G[self._upper]
-            del G
-            np.maximum(s, 0.0, out=s)
-            s /= self._sq
+            for a, b, lo, hi, kept, holes, T in self._row_blocks():
+                G = np.matmul(L[a:b], R[:, a + 1 :], out=buf[: T.size].reshape(T.shape))
+                g = G[T]
+                np.maximum(g, 0.0, out=g)
+                g /= self._sq[lo:hi]
+                s[kept] = np.delete(g, holes - lo) if holes.size else g
+                del g  # freed before the next block's gather
         if self._labels.size:
             s[self._labels] = row_sq_proj(self._exact, V)
-        if self._holes.size:
-            s = np.delete(s, self._holes)
         return s
 
     def rows(self, idx) -> np.ndarray:

@@ -75,9 +75,13 @@ def _project_in_place(z: np.ndarray) -> np.ndarray:
     for c in (_support_superset(z), z):
         u = np.sort(c)[::-1]
         css = np.cumsum(u)
-        j = np.arange(1, c.size + 1)
+        # The test u_j + (1 - css_j) / j in one buffer; rho is the last j
+        # that passes it.
+        test = np.subtract(1.0, css)
+        test /= np.arange(1, c.size + 1)
+        test += u
         # j = 1 always qualifies (u_1 + 1 - u_1 = 1 > 0), so rho >= 1.
-        rho = int(np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1]) + 1
+        rho = c.size - int(np.argmax(test[::-1] > 0.0))
         # rho below the candidate count is rho of the full sort.
         if rho < c.size or c.size == z.size:
             break

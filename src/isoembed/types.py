@@ -153,7 +153,8 @@ class DirectionSet(ABC):
     @abstractmethod
     def moment(self, w) -> np.ndarray:
         """M(w) = sum_i w_i x_i x_i', exactly symmetric, for a nonnegative
-        length-n float64 vector w."""
+        length-n float64 vector w, which may be a read-only or zero-stride
+        view."""
 
     @abstractmethod
     def sq_proj(self, V) -> np.ndarray:
@@ -173,7 +174,8 @@ class DirectionSet(ABC):
 
     @cached_property
     def _uniform_moment(self) -> np.ndarray:
-        M = self.moment(np.full(self.n, 1.0 / self.n))
+        # The uniform weights as a zero-stride view: no length-n buffer.
+        M = self.moment(np.broadcast_to(1.0 / self.n, self.n))
         M.flags.writeable = False
         return M
 

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
@@ -302,15 +302,20 @@ def test_one_projection_product_per_evaluated_iterate(monkeypatch):
         assert len(calls) == T + 2  # t = 0, T steps, the average iterate
 
 
-def test_a_run_builds_two_distortion_reports(monkeypatch):
+def test_a_run_builds_no_distortion_vector(monkeypatch):
     calls = []
     real = ascent._distortion_report
     monkeypatch.setattr(ascent, "_distortion_report", lambda s: calls.append(1) or real(s))
     X = unit_rows(np.random.default_rng(46), 20, 4)
     for T in (0, 7):
         calls.clear()
-        ie.run_projected_ascent(X, 2, ie.AscentConfig(T=T))
-        assert len(calls) == 2, T  # the selected and the PCA iterate
+        res = ie.run_projected_ascent(X, 2, ie.AscentConfig(T=T))
+        assert calls == [], T
+        # The result keeps epsilon and argmax, those of primal_distortion.
+        for got, V in ((res.distortion, res.basis), (res.pca_distortion, ie.pca_basis(X, 2))):
+            assert not hasattr(got, "phi")
+            want = ie.primal_distortion(X, V)
+            assert (got.epsilon, got.argmax) == (want.epsilon, want.argmax)
 
 
 @st.composite
@@ -329,9 +334,14 @@ def squared_projections(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(squared_projections())
+# 1 - s rounds to 0.9 at 0.1 and at its upper neighbour: the first of the
+# two attains epsilon, not the smaller one.
+@example(np.array([0.5, np.nextafter(0.1, 1.0), 0.1]))
 def test_iterate_epsilon_is_bitwise_the_distortion_report_epsilon(s):
-    want = ascent._distortion_report(s).epsilon
-    assert np.float64(max(1.0 - s.min(), 0.0)).tobytes() == np.float64(want).tobytes()
+    want = ascent._distortion_report(s)
+    got = ascent._worst_distortion(s)
+    assert np.float64(got.epsilon).tobytes() == np.float64(want.epsilon).tobytes()
+    assert got.argmax == want.argmax
 
 
 def test_k_out_of_range():

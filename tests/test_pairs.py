@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import isoembed as ie
+from isoembed import pairs as pairs_module
 from isoembed.pairs import KAPPA_LIMIT
 from isoembed.types import row_moment, row_sq_proj
 
@@ -175,6 +176,57 @@ def test_pairs_closer_than_the_smallest_normal_square_are_coincident():
     assert ie.pairwise_unit_differences(ie.PointSet(P)).n == 6
 
 
+@pytest.mark.parametrize("height", [1, 3])
+def test_row_blocks_match_the_dense_rows(monkeypatch, height):
+    # 17 points: 16 rows of pairs, in one-row blocks or in blocks of three
+    # with a last block of one row.
+    r = 17
+    monkeypatch.setattr(pairs_module, "_BLOCK_ENTRIES", height * (r - 1))
+    rng = np.random.default_rng(25)
+    P = rng.standard_normal((r, 4))
+    # Holes (2, 6) and (10, 16) and exact-route pairs (3, 4) and (12, 13),
+    # 1-based: in blocks 0 and 3 of three rows each.
+    P[5], P[15] = P[1], P[9]
+    P[3] = P[2] + 1e-9 * rng.standard_normal(4)
+    P[12] = P[11] + 1e-9 * rng.standard_normal(4)
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    assert pairs._template.shape == (height, r - 1)
+    assert pairs.n == r * (r - 1) // 2 - 2 and pairs._labels.size == 2
+    X = pairs.X
+    for k in (1, 3):
+        V = np.linalg.qr(rng.standard_normal((4, k)))[0]
+        assert np.abs(pairs.sq_proj(V) - row_sq_proj(X, V)).max() <= 1e-12
+    for w in (rng.random(pairs.n), np.broadcast_to(1.0 / pairs.n, pairs.n)):
+        M = pairs.moment(w)
+        assert np.array_equal(M, M.T)
+        assert np.abs(M - row_moment(X, w)).max() <= 1e-12 * w.sum()
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_one_kernel_call_holds_no_r_by_r_array(dedup):
+    # r = 1000: one r x r float matrix is 8 MB, and a length-n vector 4 MB.
+    rng = np.random.default_rng(26)
+    P = rng.standard_normal((1000, 8))
+    if dedup:
+        P[999] = P[170]  # one hole, away from the first block
+    pairs = ie.pairwise_unit_differences(
+        ie.PointSet(P), dedup_policy="drop" if dedup else "error"
+    )
+    n = pairs.n
+    V = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    w = rng.random(n)
+    peaks = []
+    for call in (lambda: pairs.sq_proj(V), lambda: pairs.moment(w)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8 * n + 2**21  # s itself and at most 2 MB more
+    assert peaks[1] <= 2**21
+
+
 def test_memory_per_pair():
     P = ie.PointSet(np.random.default_rng(22).standard_normal((300, 40)))
     n = 300 * 299 // 2
@@ -191,6 +243,6 @@ def test_memory_per_pair():
         tracemalloc.stop()
     assert res.fingerprint == pairs.fingerprint()
     assert build_peak <= 32 * n  # the dense build needs 8 d = 320 B/pair
-    # The run peaks at 83-88 B/pair, as the hash thread's blocks happen to
+    # The run peaks at 65-71 B/pair, as the hash thread's blocks happen to
     # be live; the bound leaves room for two more length-n float vectors.
-    assert run_peak <= 104 * n
+    assert run_peak <= 87 * n
