@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ShapeError
 from .simplex import _project_in_place
 from .spectral import top_k_eigenpairs, uniform_moment_matrix, weighted_moment_matrix
-from .types import DirectionSet, OrthonormalBasis, SimplexWeights, as_unit_vector_set
+from .types import DirectionSet, OrthonormalBasis, SimplexWeights, as_unit_vector_set, check_k
 
 logger = logging.getLogger(__name__)
 
@@ -31,27 +31,20 @@ DEGENERACY_TOL = 1e-8
 @dataclass(frozen=True)
 class AscentConfig:
     """Knobs for run_projected_ascent: the iteration count ``T``, an int
-    >= 0 (a bool is refused), and ``step_size``, a positive finite float or
-    "auto" for sqrt(2)/sqrt(nT).
+    >= 0, and ``step_size``, a positive finite real number or "auto" for
+    sqrt(2)/sqrt(nT). A bool is refused for either, as is a numeric string.
     """
 
     T: int = 120
     step_size: float | str = "auto"
 
     def __post_init__(self):
-        T = self.T
+        T, eta = self.T, self.step_size
         if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
             raise ValueError(f"iteration count must be an integer >= 0, got {T!r}")
-        if self.step_size != "auto":
-            try:
-                ok = 0.0 < float(self.step_size) < math.inf
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(
-                    "step size must be 'auto' or a positive finite number, "
-                    f"got {self.step_size!r}"
-                )
+        real = isinstance(eta, numbers.Real) and not isinstance(eta, bool)
+        if not ((real and 0.0 < eta < math.inf) or (isinstance(eta, str) and eta == "auto")):
+            raise ValueError(f"step size must be 'auto' or a positive finite number, got {eta!r}")
 
 
 @dataclass(frozen=True)
@@ -221,8 +214,7 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     T = 0 the run is evaluation-only and returns that solution directly.
     """
     X = as_unit_vector_set(X)
-    if not (1 <= k <= X.d):
-        raise ValueError(f"k must be in [1, {X.d}], got {k}")
+    check_k(k, X.d)
     n = X.n
     T = cfg.T
 
@@ -231,49 +223,42 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     else:
         eta = float(cfg.step_size)
 
-    # The fingerprint is hashed on a helper thread during the solve (hashlib
-    # and numpy release the GIL). Nothing may read X.fingerprint() before
-    # the block ends and joins it: cached_property has no lock on Python
-    # >= 3.12, so a second reader would hash again. An error in the solve
-    # leaves the block once the hash ends, unmasked by it.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        fingerprint = pool.submit(X.fingerprint)
-        # The uniform weights as a zero-stride view: pca holds no length-n buffer.
-        pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
-        best = cur = pca
-        trace = [pca.record(0, best)]
-        lam_sum = np.zeros(n)
-        support = 0  # summed over the steps: the moment kernel reads these rows
-        for t in range(1, T + 1):
-            # lam + eta * _gradient(s), bitwise, projected in place: y becomes
-            # lam. (Forming y in s's buffer instead keeps one vector fewer, but
-            # glibc then trims and re-maps the heap: 16x the page faults.)
-            y = np.clip(s, 0.0, 1.0)
-            y *= -eta
-            y += cur.lam
-            del s, cur  # spent: freed before the projection, its lam unless best
-            lam = _project_in_place(y)
-            lam_sum += lam
-            support += np.count_nonzero(lam)
-            cur, s = _evaluate(X, X.moment(lam), lam, k)
-            if cur.epsilon < best.epsilon:
-                best = cur
-            trace.append(cur.record(t, best))
-        del s, cur  # freed before the average iterate's moment unless best
+    # The uniform weights as a zero-stride view: pca holds no length-n buffer.
+    pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
+    best = cur = pca
+    trace = [pca.record(0, best)]
+    lam_sum = np.zeros(n)
+    support = 0  # summed over the steps: the moment kernel reads these rows
+    for t in range(1, T + 1):
+        # lam + eta * _gradient(s), bitwise, projected in place: y becomes
+        # lam. (Forming y in s's buffer instead keeps one vector fewer, but
+        # glibc then trims and re-maps the heap: 16x the page faults.)
+        y = np.clip(s, 0.0, 1.0)
+        y *= -eta
+        y += cur.lam
+        del s, cur  # spent: freed before the projection, its lam unless best
+        lam = _project_in_place(y)
+        lam_sum += lam
+        support += np.count_nonzero(lam)
+        cur, s = _evaluate(X, X.moment(lam), lam, k)
+        if cur.epsilon < best.epsilon:
+            best = cur
+        trace.append(cur.record(t, best))
+    del s, cur  # freed before the average iterate's moment unless best
 
-        records = list(trace)
-        selected = "best"
-        if T >= 1:
-            lam_sum /= T  # in place: the average weights
-            logger.info(
-                "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
-                support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
-            )
-            avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)[0]
-            # Average wins ties: the best iterate is kept only on strict improvement.
-            if not (best.epsilon < avg.epsilon):
-                selected, best = "average", avg
-            records.append(avg.record(T, best))
+    records = list(trace)
+    selected = "best"
+    if T >= 1:
+        lam_sum /= T  # in place: the average weights
+        logger.info(
+            "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
+            support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
+        )
+        avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)[0]
+        # Average wins ties: the best iterate is kept only on strict improvement.
+        if not (best.epsilon < avg.epsilon):
+            selected, best = "average", avg
+        records.append(avg.record(T, best))
 
     n_degen = sum(r.degenerate for r in records)
     if n_degen:
@@ -290,6 +275,6 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
         step_size=eta,
         pca_distortion=WorstDistortion(pca.epsilon, pca.argmax),
         average_record=records[-1] if T >= 1 else None,
-        fingerprint=fingerprint.result(),
+        fingerprint=X.fingerprint(),
         degenerate_iterations=n_degen,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import top_k_eigenpairs, uniform_moment_matrix
-from .types import OrthonormalBasis
+from .types import OrthonormalBasis, check_k
 
 
 def pca_basis(X, k: int) -> OrthonormalBasis:
@@ -26,8 +26,7 @@ def random_orthonormal_basis(d: int, k: int, seed: int) -> OrthonormalBasis:
     is flipped so the corresponding diagonal entry of R is positive. The
     same seed yields a bitwise-identical matrix.
     """
-    if not (1 <= k <= d):
-        raise ValueError(f"k must be in [1, {d}], got {k}")
+    check_k(k, d)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
     Q, R = np.linalg.qr(A)

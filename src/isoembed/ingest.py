@@ -9,7 +9,7 @@ from array import array
 import numpy as np
 
 from .errors import DegenerateVectorError, LoadError, ShapeError
-from .pairs import PairDifferenceSet
+from .pairs import _TINY, PairDifferenceSet
 from .types import PointSet, UnitVectorSet
 
 
@@ -65,18 +65,24 @@ def load_points(path, skip_header: bool = False) -> PointSet:
 
 
 def normalize_rows(M) -> UnitVectorSet:
-    """Scale each row of M to unit Euclidean length.
-
-    Raises DegenerateVectorError (1-based row) on a zero row.
-    """
+    """Scale each row of M to unit length, M_i / ||M_i||. A row whose norm
+    overflows or is below sqrt(tiny) (about 1.5e-154, the pair set's
+    coincidence threshold) is divided by its largest absolute entry first.
+    An all-zero row raises DegenerateVectorError (1-based row)."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
-    norms = np.linalg.norm(M, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise DegenerateVectorError(int(zero[0]) + 1)
-    return UnitVectorSet(M / norms[:, None])
+    with np.errstate(over="ignore"):  # such a row is rescaled below
+        norms = np.linalg.norm(M, axis=1)
+    odd = np.flatnonzero(~((norms >= math.sqrt(_TINY)) & (norms < math.inf)))
+    top = np.abs(M[odd]).max(axis=1, initial=0.0)
+    if (top == 0.0).any():
+        raise DegenerateVectorError(int(odd[np.argmax(top == 0.0)]) + 1)
+    norms[odd] = 1.0
+    U = M / norms[:, None]
+    U[odd] /= top[:, None]
+    U[odd] /= np.linalg.norm(U[odd], axis=1)[:, None]
+    return UnitVectorSet(U)
 
 
 def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> PairDifferenceSet:

@@ -20,6 +20,7 @@ from .types import (
     OrthonormalBasis,
     as_float_matrix,
     as_unit_vector_set,
+    check_k,
     first_bad_weight,
     row_moment,
     weights_vector,
@@ -109,8 +110,7 @@ def top_k_eigenpairs(M, k: int) -> SpectralState:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {M.shape}")
     d = M.shape[0]
-    if not (1 <= k <= d):
-        raise ValueError(f"k must be in [1, {d}], got {k}")
+    check_k(k, d)
     if not np.isfinite(M).all():
         raise ContractError("matrix contains non-finite entries")
     asym = np.abs(M - M.T).max()

@@ -38,6 +38,12 @@ def as_float_matrix(a, name):
     return m
 
 
+def check_k(k, d: int) -> None:
+    """ValueError unless k is an int or numpy integer (not a bool) in [1, d]."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= d:
+        raise ValueError(f"k must be an integer in [1, {d}], got {k!r}")
+
+
 def _freeze(a):
     a = np.ascontiguousarray(a)
     a.flags.writeable = False

@@ -1,8 +1,6 @@
 import logging
 import math
 import re
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -137,9 +135,10 @@ def test_default_step_size_rejects_zero_iterations():
 def test_ascent_config_validation():
     with pytest.raises(ValueError):
         ie.AscentConfig(T=-1)
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for bad in (0.0, math.nan, math.inf, True, "0.5"):
+        with pytest.raises(ValueError, match="step size must be"):
             ie.AscentConfig(step_size=bad)
+    assert ie.AscentConfig(step_size=np.float64(0.5)).step_size == 0.5
     ie.AscentConfig(T=0)  # evaluation-only runs are fine
 
 
@@ -346,10 +345,11 @@ def test_iterate_epsilon_is_bitwise_the_distortion_report_epsilon(s):
 
 def test_k_out_of_range():
     X = ie.UnitVectorSet(np.eye(3))
-    with pytest.raises(ValueError):
-        ie.run_projected_ascent(X, 0, ie.AscentConfig(T=1))
-    with pytest.raises(ValueError):
-        ie.run_projected_ascent(X, 4, ie.AscentConfig(T=1))
+    for bad in (0, 4, 2.0, True):
+        message = f"k must be an integer in [1, 3], got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ie.run_projected_ascent(X, bad, ie.AscentConfig(T=1))
+    assert ie.run_projected_ascent(X, np.int64(2), ie.AscentConfig(T=1)).basis.V.shape == (3, 2)
 
 
 def test_degenerate_spectrum_is_flagged_not_fatal():
@@ -418,7 +418,7 @@ def test_run_whose_lambda_loses_support_matches_a_dense_moment(monkeypatch):
     assert abs(ref.best_dual_value - res.best_dual_value) <= 1e-12
 
 
-# ---------------------------------------------------------------- fingerprint thread
+# ---------------------------------------------------------------- fingerprint
 
 
 def _pair_set(seed=47):
@@ -431,9 +431,7 @@ def test_a_run_its_bounds_and_the_fingerprint_hash_the_rows_once(monkeypatch):
     real = ie.PairDifferenceSet._unit_blocks
     monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", lambda X: calls.append(1) or real(X))
     pairs = _pair_set()
-    threads = threading.active_count()
     res = ie.run_projected_ascent(pairs, 2, ie.AscentConfig(T=5))
-    assert threading.active_count() == threads  # the helper thread is joined
     bound = ie.approximation_bound(pairs)
     assert res.fingerprint == bound.fingerprint == pairs.fingerprint()
     assert len(calls) == 1
@@ -446,24 +444,19 @@ def test_an_error_in_the_hash_surfaces_from_the_run(monkeypatch):
         yield
 
     monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", failing)
-    threads = threading.active_count()
     with pytest.raises(RuntimeError, match="hash failed"):
         ie.run_projected_ascent(_pair_set(), 2, ie.AscentConfig(T=3))
-    assert threading.active_count() == threads
 
 
 def test_an_error_in_the_solve_is_not_masked_by_the_pending_hash(monkeypatch):
-    def slow_failing(X):
-        time.sleep(0.2)  # still hashing when the solve fails
+    def failing_hash(X):
         raise RuntimeError("hash failed")
         yield
 
     def failing_eigh(M, k):
         raise ValueError("solve failed")
 
-    monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", slow_failing)
+    monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", failing_hash)
     monkeypatch.setattr(ascent, "top_k_eigenpairs", failing_eigh)
-    threads = threading.active_count()
     with pytest.raises(ValueError, match="solve failed"):
         ie.run_projected_ascent(_pair_set(), 2, ie.AscentConfig(T=3))
-    assert threading.active_count() == threads

@@ -51,8 +51,9 @@ def test_random_basis_orthonormal_and_deterministic():
 
 
 def test_random_basis_k_exceeds_d():
-    with pytest.raises(ValueError):
-        ie.random_orthonormal_basis(3, 4, seed=1)
+    for bad in (4, 2.0):
+        with pytest.raises(ValueError, match="k must be an integer in"):
+            ie.random_orthonormal_basis(3, bad, seed=1)
 
 
 def test_grid_two_orthogonal_vectors():

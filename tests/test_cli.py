@@ -197,6 +197,18 @@ def test_rows_mode_renormalizes_with_warning(tmp_path, caplog, monkeypatch):
     assert alive == [False]
 
 
+def test_rows_mode_renormalizes_rows_of_extreme_norm(tmp_path):
+    # Squared, 1e200 overflows and 1e-170 underflows to 0.
+    path = tmp_path / "rows.csv"
+    write_matrix(path, [[1e200, 1e200], [1e-170, 1e-170], [1.0, 2.0]])
+    out = tmp_path / "r.json"
+    rc = run_cli(
+        ["--input", str(path), "--mode", "rows", "--k", "1", "--iters", "3", "--out", str(out)]
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["n"] == 3
+
+
 def test_header_flag_skips_first_line(tmp_path):
     path = tmp_path / "h.csv"
     write_matrix(path, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], header="x,y")

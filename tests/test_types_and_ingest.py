@@ -324,6 +324,21 @@ def test_normalize_rows_zero_row_errors_with_index():
     assert exc.value.row == 2
 
 
+def test_normalize_rows_scales_rows_of_extreme_norm_first():
+    # 1e200 squared overflows and 1e-170 squared underflows, so neither
+    # row's np.linalg.norm is its length; each is divided by its largest
+    # entry first. The other rows are bitwise M / np.linalg.norm(M).
+    M = np.array([[1e200, 1e200], [3.0, 4.0], [1e-170, -1e-170], [0.0, 5e-324], [1.0, 1.0]])
+    u = ie.normalize_rows(M)
+    s = 1.0 / np.sqrt(2.0)
+    assert np.allclose(u.X, [[s, s], [0.6, 0.8], [s, -s], [0.0, 1.0], [s, s]], atol=1e-15)
+    plain = [1, 4]
+    assert np.array_equal(u.X[plain], M[plain] / np.linalg.norm(M[plain], axis=1)[:, None])
+    with pytest.raises(ie.DegenerateVectorError) as exc:
+        ie.normalize_rows(np.array([[1e-170, 0.0], [0.0, 0.0]]))
+    assert exc.value.row == 2
+
+
 def test_normalize_rows_idempotent():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((40, 7)) * 5.0
