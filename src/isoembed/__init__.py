@@ -7,9 +7,9 @@ The high-level entry point is :func:`run_projected_ascent`; see the CLI
 
 from .ascent import (
     AscentConfig,
-    DistortionReport,
     EmbeddingResult,
     IterationRecord,
+    WorstDistortion,
     default_step_size,
     dual_gradient,
     dual_objective,
@@ -59,7 +59,6 @@ __all__ = [
     "ContractError",
     "DegenerateVectorError",
     "DirectionSet",
-    "DistortionReport",
     "EmbeddingError",
     "EmbeddingResult",
     "IterationRecord",
@@ -72,6 +71,7 @@ __all__ = [
     "SimplexWeights",
     "SpectralState",
     "UnitVectorSet",
+    "WorstDistortion",
     "approximation_bound",
     "default_step_size",
     "dual_gradient",

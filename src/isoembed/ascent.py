@@ -57,13 +57,6 @@ class WorstDistortion:
 
 
 @dataclass(frozen=True)
-class DistortionReport(WorstDistortion):
-    """The worst distortion together with every phi_i."""
-
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     """One trace row: dual value and primal distortion of an iterate."""
 
@@ -92,16 +85,10 @@ class EmbeddingResult:
     degenerate_iterations: int = 0
 
 
-def _distortion_report(s) -> DistortionReport:
-    phi = 1.0 - s
-    # phi is nonnegative in exact arithmetic; clear the roundoff dust.
-    np.clip(phi, 0.0, None, out=phi)
-    idx = int(np.argmax(phi))
-    return DistortionReport(epsilon=float(phi[idx]), argmax=idx, phi=phi)
-
-
 def _worst_distortion(s) -> WorstDistortion:
-    """_distortion_report(s) without phi: bitwise its epsilon and argmax."""
+    """The worst distortion of the squared projections s, without forming
+    phi: epsilon is bitwise the max of phi = 1 - s clipped at 0, and argmax
+    the first index attaining it."""
     i = int(np.argmin(s))
     # Rounding 1 - x is monotone, so epsilon is 1 - min(s) clipped at 0.
     epsilon = max(1.0 - float(s[i]), 0.0)
@@ -122,19 +109,21 @@ def _gradient(s):
     return g
 
 
-def primal_distortion(X, V) -> DistortionReport:
+def primal_distortion(X, V) -> WorstDistortion:
     """Worst-case squared-length loss of projecting rows of X through V.
 
-    phi_i = 1 - ||V'x_i||^2; epsilon is the max, argmax the first index
-    attaining it (0-based). V must have orthonormal columns; a raw array is
-    checked by building an OrthonormalBasis from a copy of it.
+    phi_i = 1 - ||V'x_i||^2 clipped at 0; epsilon is the max, argmax the
+    first index attaining it (0-based). Every phi_i is
+    ``np.clip(1 - X.sq_proj(V), 0, None)``. V must have orthonormal
+    columns; a raw array is checked by building an OrthonormalBasis from a
+    copy of it.
     """
     X = as_unit_vector_set(X)
     if not isinstance(V, OrthonormalBasis):
         V = OrthonormalBasis(np.array(V, dtype=np.float64))
     if V.d != X.d:
         raise ShapeError(f"basis has shape {V.V.shape}, expected ({X.d}, k)")
-    return _distortion_report(X.sq_proj(V.V))
+    return _worst_distortion(X.sq_proj(V.V))
 
 
 def dual_objective(X, w, k: int) -> float:

@@ -23,6 +23,7 @@ from .baselines import random_orthonormal_basis
 from .bounds import DEFAULT_RANK_TOL, approximation_bound, duality_sandwich_check
 from .errors import EmbeddingError
 from .ingest import load_points, normalize_rows, pairwise_unit_differences
+from .pairs import PairDifferenceSet
 from .types import ROW_NORM_TOL, DirectionSet, PointSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
@@ -151,7 +152,7 @@ def build_parser():
     return p
 
 
-def _subsample_pairs(units: DirectionSet, max_pairs: int, seed: int) -> DirectionSet:
+def _subsample_pairs(units: PairDifferenceSet, max_pairs: int, seed: int) -> DirectionSet:
     """A seeded uniform sample of max_pairs directions, built densely from
     their indices alone; all of them when there are no more than that."""
     if max_pairs <= 0 or units.n <= max_pairs:

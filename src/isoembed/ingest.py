@@ -8,7 +8,7 @@ from array import array
 
 import numpy as np
 
-from .errors import DegenerateVectorError, LoadError, ShapeError
+from .errors import ContractError, DegenerateVectorError, LoadError, ShapeError
 from .pairs import _TINY, PairDifferenceSet
 from .types import PointSet, UnitVectorSet
 
@@ -68,14 +68,20 @@ def normalize_rows(M) -> UnitVectorSet:
     """Scale each row of M to unit length, M_i / ||M_i||. A row whose norm
     overflows or is below sqrt(tiny) (about 1.5e-154, the pair set's
     coincidence threshold) is divided by its largest absolute entry first.
-    An all-zero row raises DegenerateVectorError (1-based row)."""
+    A row holding a NaN or an infinity raises ContractError, and then an
+    all-zero row DegenerateVectorError, each naming the first such row
+    (1-based), before any division."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
     with np.errstate(over="ignore"):  # such a row is rescaled below
         norms = np.linalg.norm(M, axis=1)
     odd = np.flatnonzero(~((norms >= math.sqrt(_TINY)) & (norms < math.inf)))
-    top = np.abs(M[odd]).max(axis=1, initial=0.0)
+    A = np.abs(M[odd])
+    finite = np.isfinite(A).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"row {int(odd[np.argmin(finite)]) + 1} contains non-finite entries")
+    top = A.max(axis=1, initial=0.0)
     if (top == 0.0).any():
         raise DegenerateVectorError(int(odd[np.argmax(top == 0.0)]) + 1)
     norms[odd] = 1.0
@@ -85,8 +91,9 @@ def normalize_rows(M) -> UnitVectorSet:
     return UnitVectorSet(U)
 
 
-def pairwise_unit_differences(P: PointSet, dedup_policy: str = "error") -> PairDifferenceSet:
-    """Normalized pairwise differences (u_i - u_j)/||u_i - u_j|| for i < j.
+def pairwise_unit_differences(P, dedup_policy: str = "error") -> PairDifferenceSet:
+    """Normalized pairwise differences (u_i - u_j)/||u_i - u_j|| for i < j
+    of a PointSet, or of an r x d array or nested list, which is copied.
 
     Pairs are ordered row-major over (i, j), giving C(r, 2) unit directions,
     held implicitly as a ``PairDifferenceSet``: the points and one float

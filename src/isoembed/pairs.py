@@ -83,7 +83,8 @@ def _point_blocks(P):
 
 
 class PairDifferenceSet(DirectionSet):
-    """The normalised pairwise differences of a PointSet of r >= 2 points.
+    """The normalised pairwise differences of r >= 2 points: a PointSet, or
+    an r x d array or nested list, which is copied into one.
 
     Construction reads every pair once, one point's differences at a time,
     and keeps one float per pair. Under ``dedup_policy="error"`` the first
@@ -95,9 +96,11 @@ class PairDifferenceSet(DirectionSet):
     row whose difference overflows.
     """
 
-    def __init__(self, points: PointSet, dedup_policy: str = "error"):
+    def __init__(self, points, dedup_policy: str = "error"):
         if dedup_policy not in ("error", "drop"):
             raise ValueError(f"unknown dedup policy {dedup_policy!r}")
+        if not isinstance(points, PointSet):
+            points = PointSet(np.array(points, dtype=np.float64))
         P = points.points
         r = P.shape[0]
         if r < 2:
@@ -239,6 +242,7 @@ class PairDifferenceSet(DirectionSet):
         return s
 
     def rows(self, idx) -> np.ndarray:
+        """The directions of the given row indices, as a new dense array."""
         idx = np.asarray(idx)
         if self._holes.size:  # kept index -> row-major index
             idx = idx + np.searchsorted(self._slots, idx, side="right")

@@ -131,8 +131,8 @@ class PointSet:
 
 class DirectionSet(ABC):
     """n unit directions x_1..x_n in R^d, as the solver and the bounds read
-    them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)``,
-    ``sq_proj(V)`` and ``rows(idx)``. ``UnitVectorSet`` holds the rows;
+    them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)`` and
+    ``sq_proj(V)``. ``UnitVectorSet`` holds the rows;
     ``pairs.PairDifferenceSet`` holds the points whose normalised
     differences they are. The methods check nothing: callers check their
     arguments once, at the API boundary.
@@ -165,10 +165,6 @@ class DirectionSet(ABC):
     @abstractmethod
     def sq_proj(self, V) -> np.ndarray:
         """s_i = ||V'x_i||^2 for a d x k array V, as a new length-n vector."""
-
-    @abstractmethod
-    def rows(self, idx) -> np.ndarray:
-        """The directions of the given row indices, as a new dense array."""
 
     def fingerprint(self) -> str:
         """matrix_fingerprint of the n x d matrix of the directions."""
@@ -222,9 +218,6 @@ class UnitVectorSet(DirectionSet):
 
     def sq_proj(self, V) -> np.ndarray:
         return row_sq_proj(self.X, V)
-
-    def rows(self, idx) -> np.ndarray:
-        return self.X[idx]
 
 
 @dataclass(frozen=True)

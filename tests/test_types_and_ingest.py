@@ -34,6 +34,12 @@ def test_unit_vector_set_accepts_exact_rows():
     assert not u.X.flags.writeable
 
 
+def test_direction_set_interface_is_what_the_solver_and_bounds_read():
+    # rows(idx) belongs to the pair set alone, which --max-pairs samples.
+    assert ie.DirectionSet.__abstractmethods__ == {"n", "d", "_unit_blocks", "moment", "sq_proj"}
+    assert not hasattr(ie.UnitVectorSet, "rows")
+
+
 @pytest.mark.parametrize("cls", [ie.PointSet, ie.UnitVectorSet])
 def test_float64_c_contiguous_input_is_taken_over_read_only(cls):
     own = np.eye(3)
@@ -339,6 +345,17 @@ def test_normalize_rows_scales_rows_of_extreme_norm_first():
     assert exc.value.row == 2
 
 
+@pytest.mark.parametrize(
+    "M, row",
+    [([[1.0, np.inf]], 1), ([[1.0, 2.0], [np.nan, 1.0]], 2), ([[-np.inf, 0.0]], 1)],
+)
+def test_normalize_rows_refuses_non_finite_rows_before_dividing(M, row):
+    # Under the suite's warnings-as-errors, a division by the infinite
+    # entry would raise its RuntimeWarning in place of the ContractError.
+    with pytest.raises(ie.ContractError, match=f"row {row} contains non-finite entries"):
+        ie.normalize_rows(np.array(M))
+
+
 def test_normalize_rows_idempotent():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((40, 7)) * 5.0
@@ -396,6 +413,19 @@ def test_pairwise_drop_policy_drops_and_warns(caplog):
         u = ie.pairwise_unit_differences(P, dedup_policy="drop")
     assert u.n == 2
     assert any("coincident" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("build", [ie.pairwise_unit_differences, ie.PairDifferenceSet])
+def test_pairwise_takes_raw_points_and_copies_them(build):
+    pts = np.random.default_rng(14).standard_normal((7, 3))
+    want = build(ie.PointSet(pts.copy()))
+    for raw in (pts, pts.tolist()):
+        got = build(raw)
+        assert (got.n, got.fingerprint()) == (want.n, want.fingerprint())
+    assert pts.flags.writeable
+    pts[0, 0] = np.nan
+    with pytest.raises(ie.ContractError, match="point set contains non-finite entries"):
+        build(pts)
 
 
 def test_pairwise_needs_two_points():
