@@ -44,8 +44,8 @@ for k in (2, 3):
               "in-plane accuracy to cover them)")
 
 report = ie.approximation_bound(directions)
-diag = ie.duality_sandwich_check(result, report)
+ratio = ie.duality_sandwich_check(result)
 print(f"\n  spectrum: rank {report.rank}, kappa {report.kappa:.2f}, "
       f"a-priori ratio bound {report.bound_sigma:.3f}")
-if diag.certified_ratio is not None:
-    print(f"  certified (k = 3): achieved distortion <= {diag.certified_ratio:.3f} x optimal")
+if ratio is not None:
+    print(f"  certified (k = 3): achieved distortion <= {ratio:.3f} x optimal")

@@ -19,7 +19,6 @@ from .ascent import (
 from .baselines import pca_basis, random_orthonormal_basis
 from .bounds import (
     BoundReport,
-    SandwichDiagnostic,
     approximation_bound,
     duality_sandwich_check,
     singular_spectrum,
@@ -66,7 +65,6 @@ __all__ = [
     "OrthonormalBasis",
     "PairDifferenceSet",
     "PointSet",
-    "SandwichDiagnostic",
     "ShapeError",
     "SimplexWeights",
     "SpectralState",

@@ -219,11 +219,11 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     lam_sum = np.zeros(n)
     support = 0  # summed over the steps: the moment kernel reads these rows
     for t in range(1, T + 1):
-        # lam + eta * _gradient(s), bitwise, projected in place: y becomes
-        # lam. (Forming y in s's buffer instead keeps one vector fewer, but
-        # glibc then trims and re-maps the heap: 16x the page faults.)
-        y = np.clip(s, 0.0, 1.0)
-        y *= -eta
+        # lam + eta * _gradient(s), projected in place: y becomes lam.
+        # (Forming y in s's buffer instead keeps one vector fewer, but glibc
+        # then trims and re-maps the heap: 16x the page faults.)
+        y = _gradient(s)
+        y *= eta
         y += cur.lam
         del s, cur  # spent: freed before the projection, its lam unless best
         lam = _project_in_place(y)

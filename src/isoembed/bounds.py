@@ -34,18 +34,6 @@ class BoundReport:
     bound_kappa: float  # 1/(1 - kappa^2/l); inf when vacuous
     spectrum_sum_check: float  # sum_{i<=l} sigma_i^2, should equal n
     note: str | None = None
-    fingerprint: str = ""
-
-
-@dataclass(frozen=True)
-class SandwichDiagnostic:
-    """Outcome of the weak-duality sandwich check on a finished run."""
-
-    epsilon: float
-    best_dual: float
-    certified_ratio: float | None  # epsilon / best_dual; None when 0/0
-    exact_optimum: bool  # epsilon ~ 0 and dual ~ 0
-    bound_sigma: float
 
 
 def singular_spectrum(X, rank_tol: float = DEFAULT_RANK_TOL):
@@ -92,40 +80,26 @@ def approximation_bound(X, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
         bound_kappa=bound_kappa,
         spectrum_sum_check=spectrum_sum,
         note=note,
-        fingerprint=X.fingerprint(),
     )
 
 
-def duality_sandwich_check(
-    result: EmbeddingResult, report: BoundReport
-) -> SandwichDiagnostic:
-    """Verify best-dual <= achieved epsilon and report the certified ratio.
+def duality_sandwich_check(result: EmbeddingResult) -> float | None:
+    """Verify best-dual <= achieved epsilon and return the certified ratio.
 
     The ratio epsilon/best_dual upper-bounds epsilon/optimum whenever the
-    best dual value is positive. A finite-iteration dual value can
-    undershoot the dual optimum, so a ratio above bound_sigma is not by
-    itself an error. A violated sandwich, however, is impossible and raises
-    ContractError.
+    best dual value is positive; it is None for an exact optimum (epsilon
+    and the dual both 0 to SANDWICH_TOL) and inf when only the dual is 0.
+    A finite-iteration dual value can undershoot the dual optimum, so a
+    ratio above bound_sigma is not by itself an error. A violated
+    sandwich, however, is impossible and raises ContractError, as does a
+    NaN on either side.
     """
-    if result.fingerprint != report.fingerprint:
-        raise ValueError("result and bound report come from different data sets")
     eps = result.distortion.epsilon
     dual = result.best_dual_value
-    if dual > eps + SANDWICH_TOL:
+    if not dual <= eps + SANDWICH_TOL:
         raise ContractError(
             f"weak duality violated: best dual {dual:.12g} exceeds epsilon {eps:.12g}"
         )
-    exact = eps <= SANDWICH_TOL and dual <= SANDWICH_TOL
-    if exact:
-        ratio = None
-    elif dual > 0.0:
-        ratio = eps / dual
-    else:
-        ratio = math.inf
-    return SandwichDiagnostic(
-        epsilon=eps,
-        best_dual=dual,
-        certified_ratio=ratio,
-        exact_optimum=exact,
-        bound_sigma=report.bound_sigma,
-    )
+    if eps <= SANDWICH_TOL and dual <= SANDWICH_TOL:
+        return None
+    return eps / dual if dual > 0.0 else math.inf

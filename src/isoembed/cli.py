@@ -31,8 +31,6 @@ logger = logging.getLogger(__name__)
 def _json_scalar(value):
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, str):
         return '"%s"' % value
     if isinstance(value, (int, np.integer)):
@@ -215,7 +213,7 @@ def run_cli(argv=None) -> int:
             baselines["random"] = primal_distortion(
                 units, random_orthonormal_basis(units.d, args.k, args.seed)
             )
-        duality_sandwich_check(result, bounds)
+        duality_sandwich_check(result)
         emit_report(
             result,
             bounds,

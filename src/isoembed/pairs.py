@@ -29,10 +29,10 @@ is one block besides its length-n input or output.
 
 Both forms lose digits in proportion to kappa_ij^2, kappa_ij = max(|p_i -
 m|, |p_j - m|) / ||p_i - p_j||: s and M are off by about kappa^2 u, u the
-unit roundoff. A pair with kappa above KAPPA_LIMIT, or whose D_ij
-overflows, takes the exact route: its unit row is held dense, built as
-``X`` builds it, enters s and M directly and gets zero Laplacian weight
-(D_ij is stored as inf).
+unit roundoff. A pair with kappa above KAPPA_LIMIT takes the exact route:
+its unit row is held dense, built as ``X`` builds it, enters s and M
+directly and gets zero Laplacian weight (D_ij is stored as inf). A pair
+whose D_ij overflows is refused.
 
 A pair is coincident when D_ij is below the smallest normal float (points
 closer than about 1.5e-154). Dropped coincident pairs are holes: they keep
@@ -48,15 +48,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoincidentPairError, ShapeError
-from .types import (
-    DirectionSet,
-    PointSet,
-    _freeze,
-    check_unit_rows,
-    row_moment,
-    row_sq_proj,
-)
+from .errors import CoincidentPairError, ContractError, ShapeError
+from .types import DirectionSet, PointSet, _freeze, row_moment, row_sq_proj
 
 # kappa above this sends a pair to the exact route. On the perfbench inputs
 # the largest kappa is 19, so none of their pairs takes it.
@@ -92,8 +85,8 @@ class PairDifferenceSet(DirectionSet):
     row-major order). Under ``"drop"`` coincident pairs are dropped with a
     warning, and CoincidentPairError((1, 2)) is raised only when every pair
     is. It also raises ValueError for an unknown policy, ShapeError for
-    fewer than two points, and ContractError as UnitVectorSet would for a
-    row whose difference overflows.
+    fewer than two points, and, under either policy, ContractError naming
+    the first pair whose squared distance overflows (1-based points).
     """
 
     def __init__(self, points, dedup_policy: str = "error"):
@@ -107,27 +100,31 @@ class PairDifferenceSet(DirectionSet):
             raise ShapeError("need at least 2 points to form pairwise differences")
         self.points = points
         self._centred = _freeze(P - P.mean(axis=0))
-        reach = np.linalg.norm(self._centred, axis=1)
         self._sq = np.empty(r * (r - 1) // 2)
         holes, labels, rows = [], [], []
-        for i, a, diffs, norms in _point_blocks(P):
-            sq = np.square(norms, out=self._sq[a : a + norms.size])
-            normal = sq >= _TINY
-            exact = ~(
-                normal
-                & (sq < np.inf)
-                & (KAPPA_LIMIT * norms >= np.maximum(reach[i], reach[i + 1 :]))
-            )
-            if not normal.all():
-                if dedup_policy == "error":
-                    raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(normal))))
-                holes.append(a + np.flatnonzero(~normal))
-                exact &= normal
-                sq[~normal] = np.inf
-            if exact.any():
-                labels.append(a + np.flatnonzero(exact))
-                rows.append(diffs[exact] / norms[exact, None])
-                sq[exact] = np.inf
+        # A difference, norm or square that overflows is inf: its pair is refused below.
+        with np.errstate(over="ignore"):
+            reach = np.linalg.norm(self._centred, axis=1)
+            for i, a, diffs, norms in _point_blocks(P):
+                sq = np.square(norms, out=self._sq[a : a + norms.size])
+                j = int(np.argmax(sq))  # the first inf, if any: the points are finite
+                if sq[j] == np.inf:
+                    raise ContractError(
+                        f"points {i + 1} and {i + 2 + j} are too far apart: "
+                        "their squared distance overflows"
+                    )
+                normal = sq >= _TINY
+                exact = ~(normal & (KAPPA_LIMIT * norms >= np.maximum(reach[i], reach[i + 1 :])))
+                if not normal.all():
+                    if dedup_policy == "error":
+                        raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(normal))))
+                    holes.append(a + np.flatnonzero(~normal))
+                    exact &= normal
+                    sq[~normal] = np.inf
+                if exact.any():
+                    labels.append(a + np.flatnonzero(exact))
+                    rows.append(diffs[exact] / norms[exact, None])
+                    sq[exact] = np.inf
         self._sq.flags.writeable = False
         self._holes = np.concatenate(holes) if holes else np.empty(0, dtype=np.intp)
         if holes:
@@ -141,8 +138,6 @@ class PairDifferenceSet(DirectionSet):
         self._labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
         self._labels -= np.searchsorted(self._holes, self._labels)
         self._exact = np.concatenate(rows) if rows else np.empty((0, P.shape[1]))
-        if labels:  # ContractError names an overflowed row by its place in the set
-            check_unit_rows(self._exact, self._labels)
         sizes = np.arange(r - 1, -1, -1)
         # The row of pair (i, i + 1) for i < r - 1, then the pair count.
         self._starts = np.cumsum(sizes) - sizes

@@ -84,24 +84,22 @@ def row_sq_proj(Xm, V) -> np.ndarray:
     return np.einsum("ij,ij->i", Y, Y)
 
 
-def check_unit_rows(X, labels=None):
+def check_unit_rows(X):
     """The row norms of X and their largest deviation from 1. ContractError when
     it exceeds RENORMALIZE_LIMIT, naming the first row with a non-finite
-    entry or else the worst row, 1-based: row i of X is row ``labels[i]``
-    of the set it belongs to (row i by default). One read pass with no
-    temporary of X's size: a NaN or inf entry, or one whose square
-    overflows, leaves its row's norm non-finite."""
+    entry or else the worst row, 1-based. One read pass with no temporary
+    of X's size: a NaN or inf entry, or one whose square overflows, leaves
+    its row's norm non-finite."""
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     dev = np.abs(norms - 1.0)
     worst = dev.max()
     if not worst <= RENORMALIZE_LIMIT:
         bad = np.flatnonzero(~np.isfinite(norms))
         i = int(bad[0]) if bad.size else int(np.argmax(dev))
-        row = i + 1 if labels is None else int(labels[i]) + 1
         if not np.isfinite(X[i]).all():
-            raise ContractError(f"row {row} contains non-finite entries")
+            raise ContractError(f"row {i + 1} contains non-finite entries")
         raise ContractError(
-            f"row {row} has norm {norms[i]:.6g}; rows must be unit length "
+            f"row {i + 1} has norm {norms[i]:.6g}; rows must be unit length "
             f"(deviation {dev[i]:.3g} exceeds {RENORMALIZE_LIMIT:g})"
         )
     return norms, worst

@@ -425,10 +425,14 @@ def test_a_run_its_bounds_and_the_fingerprint_hash_the_rows_once(monkeypatch):
     monkeypatch.setattr(ie.PairDifferenceSet, "_unit_blocks", lambda X: calls.append(1) or real(X))
     pairs = _pair_set()
     res = ie.run_projected_ascent(pairs, 2, ie.AscentConfig(T=5))
-    bound = ie.approximation_bound(pairs)
-    assert res.fingerprint == bound.fingerprint == pairs.fingerprint()
+    ie.approximation_bound(pairs)
+    assert res.fingerprint == pairs.fingerprint()
     assert len(calls) == 1
     assert res.fingerprint == ie.matrix_fingerprint(pairs.X)  # X reads the rows again
+    # The bounds read M(uniform) alone: on a fresh set they hash nothing.
+    calls.clear()
+    ie.approximation_bound(_pair_set())
+    assert calls == []
 
 
 def test_an_error_in_the_hash_surfaces_from_the_run(monkeypatch):

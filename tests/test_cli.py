@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -347,17 +348,19 @@ def test_run_hashes_and_builds_the_pca_solution_once(tmp_path, small_input, monk
 
 def test_weak_duality_violation_exits_1_without_a_report(tmp_path, small_input, capsys, monkeypatch):
     real = cli.run_projected_ascent
+    # A dual above epsilon, and a NaN dual, which no comparison lets through.
+    for forged in (lambda eps: eps + 1e-3, lambda eps: math.nan):
 
-    def violating(*args):
-        res = real(*args)
-        return dataclasses.replace(res, best_dual_value=res.distortion.epsilon + 1e-3)
+        def violating(*args):
+            res = real(*args)
+            return dataclasses.replace(res, best_dual_value=forged(res.distortion.epsilon))
 
-    monkeypatch.setattr(cli, "run_projected_ascent", violating)
-    out = tmp_path / "r.json"
-    rc = run_cli(["--input", str(small_input), "--k", "2", "--iters", "3", "--out", str(out)])
-    assert rc == 1
-    assert "weak duality violated" in capsys.readouterr().err
-    assert not out.exists()
+        monkeypatch.setattr(cli, "run_projected_ascent", violating)
+        out = tmp_path / "r.json"
+        rc = run_cli(["--input", str(small_input), "--k", "2", "--iters", "3", "--out", str(out)])
+        assert rc == 1
+        assert "weak duality violated" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unwritable_out_path_exits_1(tmp_path, small_input, capsys):

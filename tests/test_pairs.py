@@ -151,13 +151,15 @@ def test_errors_name_the_pair_or_row_at_fault():
     with pytest.raises(ie.CoincidentPairError) as exc:
         ie.pairwise_unit_differences(ie.PointSet(P))
     assert exc.value.pair == (3, 4)
-    # One whose square overflows has no finite norm: its row is not unit length.
+    # One whose square overflows is refused by its points, under either policy.
+    overflows = "points {} and {} are too far apart: their squared distance overflows"
     P = np.array([[0.0, 0.0], [1.0, 1.0], [1e200, 0.0], [2.0, 5.0]])
-    with np.errstate(over="ignore"), pytest.raises(ie.ContractError, match="row 2 has norm 0"):
-        ie.pairwise_unit_differences(ie.PointSet(P))
-    # Rows are numbered in the set: pair (1, 4) is row 2 once (1, 2) is dropped.
+    for policy in ("error", "drop"):
+        with pytest.raises(ie.ContractError, match=overflows.format(1, 3)):
+            ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy=policy)
+    # Points, not rows: pair (1, 4) is named so though (1, 2) is dropped.
     P = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1e200, 0.0]])
-    with np.errstate(over="ignore"), pytest.raises(ie.ContractError, match="row 2 has norm 0"):
+    with pytest.raises(ie.ContractError, match=overflows.format(1, 4)):
         ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
 
 
