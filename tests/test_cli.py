@@ -210,6 +210,18 @@ def test_rows_mode_renormalizes_rows_of_extreme_norm(tmp_path):
     assert json.loads(out.read_text())["n"] == 3
 
 
+def test_points_whose_column_sums_overflow_embed(tmp_path, caplog):
+    # Under filterwarnings = error a numpy overflow warning would fail this run.
+    path = tmp_path / "far.csv"
+    path.write_text("1e308,0\n1e308,1\n1e308,2\n")
+    out = tmp_path / "r.json"
+    with caplog.at_level("INFO"):
+        rc = run_cli(["--input", str(path), "--k", "1", "--iters", "5", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["n"] == 3
+    assert "read 3 x 2 points in " in caplog.text
+
+
 def test_header_flag_skips_first_line(tmp_path):
     path = tmp_path / "h.csv"
     write_matrix(path, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], header="x,y")

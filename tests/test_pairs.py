@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import isoembed as ie
 from isoembed import pairs as pairs_module
@@ -161,6 +163,21 @@ def test_errors_name_the_pair_or_row_at_fault():
     P = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1e200, 0.0]])
     with pytest.raises(ie.ContractError, match=overflows.format(1, 4)):
         ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.lists(
+        st.lists(st.just(0.0) | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100),
+                 min_size=d, max_size=d),
+        min_size=2, max_size=8,
+    ))
+)
+def test_centring_is_bitwise_the_plain_mean_when_no_sum_overflows(rows):
+    assume(len(set(map(tuple, rows))) > 1)  # a pair that does not coincide
+    P = np.array(rows)
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    assert pairs._centred.tobytes() == (P - P.mean(axis=0)).tobytes()
 
 
 def test_pairs_closer_than_the_smallest_normal_square_are_coincident():

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
+from isoembed import ingest
 from isoembed.types import as_unit_vector_set
 from oracles import unit_rows
 
@@ -223,6 +224,15 @@ def test_load_points_rejects_non_utf8(tmp_path):
     assert exc.value.line == 3
 
 
+def test_load_points_names_the_first_fault_of_two(tmp_path):
+    # numpy's reader reads line 2's NaN before line 3 stops it; the re-read names line 2.
+    f = tmp_path / "bad.csv"
+    f.write_bytes(b"1,0\nnan,1\n\xff\xfe,2\n")
+    with pytest.raises(ie.LoadError, match="non-finite") as exc:
+        ie.load_points(f)
+    assert exc.value.line == 2
+
+
 def test_load_points_empty_file(tmp_path):
     f = tmp_path / "empty.csv"
     f.write_text("# only a comment\n")
@@ -309,6 +319,63 @@ def test_load_points_names_injected_bad_line(tmp_path, spec, kind, data):
         ie.load_points(f, skip_header=header)
     assert exc.value.line == at + 1
     assert named in str(exc.value)
+
+
+# The C reader against the reference line parse: finite doubles, subnormals,
+# signed zeros and the extremes among them, in three exact spellings.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+SPELLINGS = {"%.17g": lambda v: "%.17g" % v, "repr": repr, "%.18e": lambda v: "%.18e" % v}
+
+
+def _refuse_line_parse(text, lineno):
+    raise AssertionError(f"line {lineno} was read line by line")
+
+
+@FILE_EXAMPLES
+@given(
+    st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES),
+                 min_size=d, max_size=d),
+        min_size=1, max_size=8,
+    )),
+    st.sampled_from(sorted(SPELLINGS)),
+    st.sampled_from([",", ", ", " ", "\t"]),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_c_reader_matches_the_line_parse_bit_for_bit(tmp_path, monkeypatch, rows, spelling, delim, eol):
+    f = tmp_path / "pts.txt"
+    f.write_bytes("".join(delim.join(map(SPELLINGS[spelling], row)) + eol for row in rows).encode())
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_parse_line", _refuse_line_parse)
+        fast = ie.load_points(f).points
+    with open(f, "rb") as fh:
+        reference = ingest._read_lines(ingest._data_lines(fh, False))
+    assert fast.shape == reference.shape == (len(rows), len(rows[0]))
+    assert fast.tobytes() == reference.tobytes() == np.array(rows).tobytes()
+
+
+def test_a_file_with_one_delimiter_is_not_read_line_by_line(tmp_path, monkeypatch, caplog):
+    f = tmp_path / "pts.txt"
+    P = np.random.default_rng(19).standard_normal((30, 5))
+    np.savetxt(f, P, header="a b c d e")  # %.18e, space-delimited, a "#" header
+    calls = []
+    real = ingest._parse_line
+    monkeypatch.setattr(ingest, "_parse_line", lambda *a: calls.append(a) or real(*a))
+    with caplog.at_level("INFO", logger="isoembed.ingest"):
+        ps = ie.load_points(f)
+    assert calls == []
+    assert ps.points.tobytes() == P.tobytes()
+    assert [rec.getMessage()[:22] for rec in caplog.records] == ["read 30 x 5 points in "]
+
+
+def test_a_valid_file_numpy_refuses_is_read_line_by_line(tmp_path, caplog):
+    f = tmp_path / "pts.txt"
+    f.write_text("1,2\n3 4\n1_000\t5\n")
+    with caplog.at_level("INFO", logger="isoembed.ingest"):
+        ps = ie.load_points(f)
+    assert ps.points.tolist() == [[1.0, 2.0], [3.0, 4.0], [1000.0, 5.0]]
+    assert "read 3 x 2 points in " in caplog.text and "line by line" in caplog.text
 
 
 # ---------------------------------------------------------------- normalize_rows
