@@ -128,7 +128,8 @@ def build_parser():
     p.add_argument(
         "--dedup",
         action="store_true",
-        help="in pairwise mode, drop coincident point pairs instead of failing on them",
+        help="in pairwise mode, drop each point that coincides with an earlier one "
+        "(closer than about 1.5e-154) instead of failing on it",
     )
     p.add_argument("--header", action="store_true", help="skip the first input line")
     p.add_argument(

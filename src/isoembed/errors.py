@@ -36,7 +36,9 @@ class DegenerateVectorError(EmbeddingError):
 class CoincidentPairError(EmbeddingError):
     """Two input points coincide, so their difference has no direction:
     its square is below the smallest normal float (points closer than about
-    1.5e-154). ``pair`` holds the 1-based point indices.
+    1.5e-154). ``pair`` holds the 1-based point indices. Under
+    ``dedup_policy="drop"`` it is raised, for pair (1, 2), only when every
+    point coincides with the first.
     """
 
     def __init__(self, pair):

@@ -143,7 +143,8 @@ def pairwise_unit_differences(P, dedup_policy: str = "error") -> PairDifferenceS
     per pair. A pair is coincident when its squared difference is below
     the smallest normal float (points closer than about 1.5e-154). Under
     ``error`` the first such pair (1-based) raises CoincidentPairError;
-    under ``drop`` they are left out of the set with a warning, and
-    CoincidentPairError((1, 2)) is raised only when none is left.
+    under ``drop`` each point that coincides with an earlier kept point is
+    dropped with a warning, the set is that of the kept points, and
+    CoincidentPairError((1, 2)) is raised only when one point is left.
     """
     return PairDifferenceSet(P, dedup_policy)

@@ -35,10 +35,10 @@ directly and gets zero Laplacian weight (D_ij is stored as inf). A pair
 whose D_ij overflows is refused.
 
 A pair is coincident when D_ij is below the smallest normal float (points
-closer than about 1.5e-154). Dropped coincident pairs are holes: they keep
-their place in the row-major C(r, 2) order of the arrays above, with D_ij
-stored as inf, and are left out of n, s, ``X``, ``rows`` and the
-fingerprint. A block inserts or deletes only its own holes.
+closer than about 1.5e-154). Under ``dedup_policy="drop"`` each point that
+coincides with an earlier kept point is dropped, and the set is that of the
+kept points: every C(r, 2) pair of them, bit for bit the set built from the
+points with the dropped ones deleted.
 """
 
 from __future__ import annotations
@@ -82,11 +82,13 @@ class PairDifferenceSet(DirectionSet):
     Construction reads every pair once, one point's differences at a time,
     and keeps one float per pair. Under ``dedup_policy="error"`` the first
     coincident pair raises CoincidentPairError naming it (1-based points,
-    row-major order). Under ``"drop"`` coincident pairs are dropped with a
-    warning, and CoincidentPairError((1, 2)) is raised only when every pair
-    is. It also raises ValueError for an unknown policy, ShapeError for
-    fewer than two points, and, under either policy, ContractError naming
-    the first pair whose squared distance overflows (1-based points).
+    row-major order). Under ``"drop"`` each point that coincides with an
+    earlier kept point is dropped with a warning, and the set is rebuilt on
+    the kept points, which ``points`` then holds; CoincidentPairError((1,
+    2)) is raised only when one point is left. It also raises ValueError for
+    an unknown policy, ShapeError for fewer than two points, and, under
+    either policy, ContractError naming the first pair of the given points
+    whose squared distance overflows (1-based).
     """
 
     def __init__(self, points, dedup_policy: str = "error"):
@@ -98,18 +100,18 @@ class PairDifferenceSet(DirectionSet):
         r = P.shape[0]
         if r < 2:
             raise ShapeError("need at least 2 points to form pairwise differences")
-        self.points = points
-        self._sq = np.empty(r * (r - 1) // 2)
-        holes, labels, rows = [], [], []
+        D = np.empty(r * (r - 1) // 2)
+        keep = np.ones(r, dtype=bool)
+        labels, rows = [], []
         # A difference, norm or square that overflows is inf: its pair is refused below.
         with np.errstate(over="ignore"):
             # The mean of P / 2^e, 2^e above max|P|, scaled back: no column sum overflows, and
             # the scaling is exact unless it makes a value subnormal.
             e = np.frexp(np.abs(P).max())[1]
-            self._centred = _freeze(P - np.ldexp(np.ldexp(P, -e).mean(axis=0), e))
-            reach = np.linalg.norm(self._centred, axis=1)
+            centred = P - np.ldexp(np.ldexp(P, -e).mean(axis=0), e)
+            reach = np.linalg.norm(centred, axis=1)
             for i, a, diffs, norms in _point_blocks(P):
-                sq = np.square(norms, out=self._sq[a : a + norms.size])
+                sq = np.square(norms, out=D[a : a + norms.size])
                 j = int(np.argmax(sq))  # the first inf, if any: the points are finite
                 if sq[j] == np.inf:
                     raise ContractError(
@@ -117,29 +119,28 @@ class PairDifferenceSet(DirectionSet):
                         "their squared distance overflows"
                     )
                 normal = sq >= _TINY
-                exact = ~(normal & (KAPPA_LIMIT * norms >= np.maximum(reach[i], reach[i + 1 :])))
+                exact = normal & (KAPPA_LIMIT * norms < np.maximum(reach[i], reach[i + 1 :]))
                 if not normal.all():
                     if dedup_policy == "error":
                         raise CoincidentPairError((i + 1, i + 2 + int(np.argmin(normal))))
-                    holes.append(a + np.flatnonzero(~normal))
-                    exact &= normal
-                    sq[~normal] = np.inf
+                    if keep[i]:  # a later copy of a kept point is dropped
+                        keep[i + 1 :] &= normal
                 if exact.any():
                     labels.append(a + np.flatnonzero(exact))
                     rows.append(diffs[exact] / norms[exact, None])
                     sq[exact] = np.inf
-        self._sq.flags.writeable = False
-        self._holes = np.concatenate(holes) if holes else np.empty(0, dtype=np.intp)
-        if holes:
-            dropped, total = self._holes.size, self._sq.size
-            logger.warning("dropped %d coincident pair(s) of %d", dropped, total)
-            if dropped == total:
+        if not keep.all():
+            logger.warning("dropped %d repeated point(s) of %d", r - keep.sum(), r)
+            if keep.sum() == 1:
                 raise CoincidentPairError((1, 2))
-        # The kept pairs before each hole: its place among the rows of the set.
-        self._slots = self._holes - np.arange(self._holes.size)
-        # The exact-route pairs' places among the rows of the set.
+            del D, sq, rows, centred  # freed before the kept points' pairs are built
+            self.__init__(PointSet(P[keep]), dedup_policy)
+            return
+        self.points = points
+        self._centred = _freeze(centred)
+        self._sq = _freeze(D)
+        # The exact-route pairs' rows in the set.
         self._labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
-        self._labels -= np.searchsorted(self._holes, self._labels)
         self._exact = np.concatenate(rows) if rows else np.empty((0, P.shape[1]))
         sizes = np.arange(r - 1, -1, -1)
         # The row of pair (i, i + 1) for i < r - 1, then the pair count.
@@ -147,7 +148,7 @@ class PairDifferenceSet(DirectionSet):
 
     @property
     def n(self) -> int:
-        return self._sq.size - self._holes.size
+        return self._sq.size
 
     @property
     def d(self) -> int:
@@ -155,9 +156,6 @@ class PairDifferenceSet(DirectionSet):
 
     def _unit_blocks(self):
         for _, _, diffs, norms in _point_blocks(self.points.points):
-            if self._holes.size:
-                keep = np.square(norms) >= _TINY
-                diffs, norms = diffs[keep], norms[keep]
             yield np.divide(diffs, norms[:, None], out=diffs)
 
     @cached_property
@@ -181,31 +179,24 @@ class PairDifferenceSet(DirectionSet):
         return np.triu(np.ones((h, r - 1), dtype=bool))
 
     def _row_blocks(self):
-        """(a, b, lo, hi, kept, holes, T) for each block of rows a..b-1:
-        its pairs lo..hi-1 in row-major order, the slice of the set's rows
-        that the kept ones among them fill, the holes among them (row-major
-        indices) and T, the template slice that places them in the block
-        C[a:b, a+1:]."""
+        """(a, b, pairs, T) for each block of rows a..b-1: the slice of its
+        pairs in row-major order and T, the template slice that places them
+        in the block C[a:b, a+1:]."""
         T = self._template
         h, r = T.shape[0], self.points.r
         for a in range(0, r - 1, h):
             b = min(a + h, r - 1)
-            lo, hi = self._starts[a], self._starts[b]
-            i, j = np.searchsorted(self._holes, (lo, hi))
-            yield a, b, lo, hi, slice(lo - i, hi - j), self._holes[i:j], T[: b - a, : r - 1 - a]
+            yield a, b, slice(self._starts[a], self._starts[b]), T[: b - a, : r - 1 - a]
 
     def moment(self, w) -> np.ndarray:
         Pc = self._centred
         deg = np.zeros(Pc.shape[0])
         CP = np.empty((Pc.shape[0] - 1, Pc.shape[1]))  # C P_c without its zero last row
         buf = np.empty(self._template.size)
-        for a, b, lo, hi, kept, holes, T in self._row_blocks():
-            wb = w[kept]
-            if holes.size:  # the kept pairs before each hole, in the block
-                wb = np.insert(wb, holes - lo - np.arange(holes.size), 0.0)
+        for a, b, pairs, T in self._row_blocks():
             C = buf[: T.size].reshape(T.shape)
             C.fill(0.0)
-            C[T] = wb / self._sq[lo:hi]
+            C[T] = w[pairs] / self._sq[pairs]
             deg[a:b] += C.sum(axis=1)
             deg[a + 1 :] += C.sum(axis=0)
             np.matmul(C, Pc[a + 1 :], out=CP[a:b])
@@ -225,15 +216,14 @@ class PairDifferenceSet(DirectionSet):
         R = np.hstack([-2.0 * Y, one, q]).T
         s = np.empty(self.n)
         buf = np.empty(self._template.size)
-        # Only exact-route pairs and holes (D_ij = inf) can overflow or give
-        # inf - inf here, and their entries are replaced or deleted below.
+        # Only exact-route pairs (D_ij = inf) can overflow or give inf - inf
+        # here, and their entries are replaced below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, lo, hi, kept, holes, T in self._row_blocks():
+            for a, b, pairs, T in self._row_blocks():
                 G = np.matmul(L[a:b], R[:, a + 1 :], out=buf[: T.size].reshape(T.shape))
                 g = G[T]
                 np.maximum(g, 0.0, out=g)
-                g /= self._sq[lo:hi]
-                s[kept] = np.delete(g, holes - lo) if holes.size else g
+                np.divide(g, self._sq[pairs], out=s[pairs])
                 del g  # freed before the next block's gather
         if self._labels.size:
             s[self._labels] = row_sq_proj(self._exact, V)
@@ -242,8 +232,6 @@ class PairDifferenceSet(DirectionSet):
     def rows(self, idx) -> np.ndarray:
         """The directions of the given row indices, as a new dense array."""
         idx = np.asarray(idx)
-        if self._holes.size:  # kept index -> row-major index
-            idx = idx + np.searchsorted(self._slots, idx, side="right")
         i = np.searchsorted(self._starts, idx, side="right") - 1
         diffs = self.points.points[i] - self.points.points[idx - self._starts[i] + i + 1]
         return diffs / np.linalg.norm(diffs, axis=1)[:, None]

@@ -142,7 +142,7 @@ def test_coincident_points_need_dedup(tmp_path, capsys):
         ["--input", str(path), "--k", "1", "--iters", "2", "--dedup", "--out", str(out)]
     )
     assert rc == 0
-    assert json.loads(out.read_text())["n"] == 2
+    assert json.loads(out.read_text())["n"] == 1  # the pair of points 1 and 2
 
 
 def test_zero_iterations_collapses_to_pca(tmp_path, small_input):
@@ -251,12 +251,12 @@ def test_max_pairs_subsamples(tmp_path, small_input):
 def test_max_pairs_builds_only_the_sampled_rows(tmp_path):
     # 79,800 pairs of 400 points: the full dense set would be 12.8 MB, the
     # 500 sampled rows are 80 kB, and the pair lengths 0.64 MB. In the
-    # --dedup input point 400 repeats point 5, and that one pair is dropped.
+    # --dedup input point 400 repeats point 5, and that point is dropped.
     P = np.random.default_rng(23).standard_normal((400, 20))
     repeated = P.copy()
     repeated[399] = repeated[4]
     for pts, flags, policy, n in ((P, [], "error", 79_800),
-                                  (repeated, ["--dedup"], "drop", 79_799)):
+                                  (repeated, ["--dedup"], "drop", 79_401)):
         path = tmp_path / f"pts_{policy}.csv"
         write_matrix(path, pts)
         args = cli.build_parser().parse_args(
@@ -273,6 +273,30 @@ def test_max_pairs_builds_only_the_sampled_rows(tmp_path):
         full = ie.pairwise_unit_differences(ie.load_points(path), dedup_policy=policy)
         assert full.n == n
         assert units.X.tobytes() == full.X[keep].tobytes()
+
+
+@pytest.mark.parametrize("sample", [[], ["--max-pairs", "100"]])
+def test_dedup_writes_the_bytes_of_the_input_without_its_repeats(tmp_path, sample):
+    # Point 31 repeats point 6, and point 40 lies 1e-160 from point 2, both
+    # 1-based: those two are dropped, and 38 points give 703 pairs.
+    P = np.random.default_rng(28).standard_normal((40, 5))
+    P[1, 0] = 0.0
+    P[30] = P[5]
+    P[39] = P[1]
+    P[39, 0] = 1e-160
+    files = {}
+    for name, pts, flags in (("dedup", P, ["--dedup"]), ("kept", np.delete(P, [30, 39], axis=0), [])):
+        path = tmp_path / f"{name}.csv"
+        write_matrix(path, pts)
+        out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.trace.csv"
+        rc = run_cli(
+            ["--input", str(path), "--k", "2", "--iters", "20", "--baselines", "pca,random",
+             *flags, *sample, "--out", str(out), "--trace", str(trace)]
+        )
+        assert rc == 0
+        files[name] = (out.read_bytes(), trace.read_bytes())
+    assert json.loads(files["kept"][0])["n"] == (100 if sample else 703)
+    assert files["dedup"] == files["kept"]
 
 
 def test_reports_are_byte_identical(tmp_path, small_input):

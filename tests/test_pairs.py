@@ -1,10 +1,11 @@
 """The implicit pair set against the dense rows it stands for."""
 
 import tracemalloc
+import unittest
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
@@ -21,7 +22,7 @@ def _points(rng, kind, r, d):
         P = 1e6 + 1e-3 * P
     elif kind == "anisotropic":
         P = P * 10.0 ** rng.uniform(-6, 6, d)
-    elif kind == "repeated":  # coincident pairs to drop, within and at the end of a block
+    elif kind == "repeated":  # repeated points to drop, one of them the last
         P[r // 2] = P[1]
         P[-1] = P[0]
     return P
@@ -51,7 +52,7 @@ def test_projections_and_moment_match_the_dense_rows(kind):
         M = pairs.moment(w)
         assert np.array_equal(M, M.T)
         assert np.abs(M - row_moment(X, w)).max() <= 1e-12 * w.sum()
-        # Every index, so also each one just after a dropped pair.
+        # Every index, so also the first and last pair of each point.
         assert pairs.rows(np.arange(pairs.n)).tobytes() == X.tobytes()
         assert pairs.fingerprint() == ie.matrix_fingerprint(X)
 
@@ -177,7 +178,11 @@ def test_centring_is_bitwise_the_plain_mean_when_no_sum_overflows(rows):
     assume(len(set(map(tuple, rows))) > 1)  # a pair that does not coincide
     P = np.array(rows)
     pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
-    assert pairs._centred.tobytes() == (P - P.mean(axis=0)).tobytes()
+    # Distinct rows here are at least 1e-116 apart, so only equal rows coincide,
+    # and the mean is that of the first copies.
+    K = P[np.sort(np.unique(P, axis=0, return_index=True)[1])]
+    assert pairs.points.points.tobytes() == K.tobytes()
+    assert pairs._centred.tobytes() == (K - K.mean(axis=0)).tobytes()
 
 
 def test_pairs_closer_than_the_smallest_normal_square_are_coincident():
@@ -186,13 +191,80 @@ def test_pairs_closer_than_the_smallest_normal_square_are_coincident():
     with pytest.raises(ie.CoincidentPairError) as exc:
         ie.pairwise_unit_differences(ie.PointSet(P))
     assert exc.value.pair == (1, 3)
+    # Point 3, 1e-158, is dropped: the pairs are those of 0, 1 and 5.
     pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
-    assert pairs.n == 5
-    assert pairs.X.tolist() == [[-1.0], [-1.0], [1.0], [-1.0], [-1.0]]
-    assert pairs.rows([1, 2]).tolist() == [[-1.0], [1.0]]
+    assert pairs.n == 3 and pairs.points.points.tolist() == [[0.0], [1.0], [5.0]]
+    assert pairs.X.tolist() == [[-1.0], [-1.0], [-1.0]]
+    assert pairs.rows([1, 2]).tolist() == [[-1.0], [-1.0]]
+    # Point 2 coincides with points 1 and 3, which do not coincide (D_13 =
+    # 4e-308): only point 2 is dropped.
+    P = np.array([[0.0], [1e-154], [2e-154], [5.0]])
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    assert pairs.points.points.tolist() == [[0.0], [2e-154], [5.0]]
     # 2e-154 apart, the square is 4e-308, just above the smallest normal 2.2e-308.
     P = np.array([[0.0], [1.0], [2e-154], [5.0]])
     assert ie.pairwise_unit_differences(ie.PointSet(P)).n == 6
+
+
+@st.composite
+def _points_with_copies(draw):
+    """(P, first): points drawn from a few distinct integer points, each one
+    maybe moved 1e-158 along a coordinate (a move only where that coordinate
+    is 0), and the indices of the first copy of each."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 5))
+    bases = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                          min_size=m, max_size=m, unique_by=tuple))
+    # More points than bases: at least one is a copy.
+    picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, d)),
+                          min_size=m + 1, max_size=10))
+    P = np.array([bases[b] for b, _ in picks], dtype=np.float64)
+    for row, (_, c) in enumerate(picks):
+        if c < d:
+            P[row, c] += 1e-158
+    first = sorted({b: row for row, (b, _) in reversed(list(enumerate(picks)))}.values())
+    return P, first
+
+
+@settings(max_examples=80, deadline=None)
+@given(_points_with_copies())
+@example((np.array([[0.0], [1.0], [1e-158], [5.0]]), [0, 1, 3]))
+def test_drop_builds_the_set_of_the_first_copies(case):
+    P, first = case
+    assume(len(first) >= 2)
+    want = ie.pairwise_unit_differences(ie.PointSet(P[first]))
+    with unittest.TestCase().assertLogs("isoembed.pairs", "WARNING") as logs:
+        got = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    assert logs.output == [
+        f"WARNING:isoembed.pairs:dropped {len(P) - len(first)} repeated point(s) of {len(P)}"
+    ]
+    assert got.points.points.tobytes() == P[first].tobytes()
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.fingerprint() == want.fingerprint()
+    rng = np.random.default_rng(len(P))
+    V = np.linalg.qr(rng.standard_normal((P.shape[1], 1)))[0]
+    w = rng.random(got.n)
+    assert got.sq_proj(V).tobytes() == want.sq_proj(V).tobytes()
+    assert got.moment(w).tobytes() == want.moment(w).tobytes()
+
+
+def test_drop_without_repeats_reads_the_pairs_once(monkeypatch):
+    calls = []
+
+    def spy(P):
+        calls.append(P.shape[0])
+        return point_blocks(P)
+
+    point_blocks = pairs_module._point_blocks
+    monkeypatch.setattr(pairs_module, "_point_blocks", spy)
+    P = np.random.default_rng(27).standard_normal((30, 4))
+    ie.pairwise_unit_differences(ie.PointSet(P.copy()), dedup_policy="drop")
+    assert calls == [30]
+    # A repeat costs one more pass, over the kept points.
+    calls.clear()
+    P[29] = P[3]
+    ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    assert calls == [30, 29]
 
 
 @pytest.mark.parametrize("height", [1, 3])
@@ -203,14 +275,13 @@ def test_row_blocks_match_the_dense_rows(monkeypatch, height):
     monkeypatch.setattr(pairs_module, "_BLOCK_ENTRIES", height * (r - 1))
     rng = np.random.default_rng(25)
     P = rng.standard_normal((r, 4))
-    # Holes (2, 6) and (10, 16) and exact-route pairs (3, 4) and (12, 13),
-    # 1-based: in blocks 0 and 3 of three rows each.
-    P[5], P[15] = P[1], P[9]
+    # Exact-route pairs (3, 4) and (12, 13), 1-based: in blocks 0 and 3 of
+    # three rows each.
     P[3] = P[2] + 1e-9 * rng.standard_normal(4)
     P[12] = P[11] + 1e-9 * rng.standard_normal(4)
-    pairs = ie.pairwise_unit_differences(ie.PointSet(P), dedup_policy="drop")
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
     assert pairs._template.shape == (height, r - 1)
-    assert pairs.n == r * (r - 1) // 2 - 2 and pairs._labels.size == 2
+    assert pairs.n == r * (r - 1) // 2 and pairs._labels.size == 2
     X = pairs.X
     for k in (1, 3):
         V = np.linalg.qr(rng.standard_normal((4, k)))[0]
@@ -227,7 +298,7 @@ def test_one_kernel_call_holds_no_r_by_r_array(dedup):
     rng = np.random.default_rng(26)
     P = rng.standard_normal((1000, 8))
     if dedup:
-        P[999] = P[170]  # one hole, away from the first block
+        P[999] = P[170]  # point 1000 is dropped
     pairs = ie.pairwise_unit_differences(
         ie.PointSet(P), dedup_policy="drop" if dedup else "error"
     )

@@ -478,8 +478,8 @@ def test_pairwise_drop_policy_drops_and_warns(caplog):
     P = ie.PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
     with caplog.at_level("WARNING"):
         u = ie.pairwise_unit_differences(P, dedup_policy="drop")
-    assert u.n == 2
-    assert any("coincident" in r.message for r in caplog.records)
+    assert u.n == 1
+    assert caplog.messages == ["dropped 1 repeated point(s) of 3"]
 
 
 @pytest.mark.parametrize("build", [ie.pairwise_unit_differences, ie.PairDifferenceSet])
@@ -512,17 +512,10 @@ def test_pairwise_accepts_unit_set_invariants():
     assert ie.is_on_simplex(np.full(u.n, 1.0 / u.n))
 
 
-def _row_major_pairs(pts, drop=False):
+def _row_major_pairs(pts):
     """Independent reference: (p_i - p_j) / ||p_i - p_j|| for i < j."""
     r = len(pts)
-    D = np.array(
-        [
-            pts[i] - pts[j]
-            for i in range(r)
-            for j in range(i + 1, r)
-            if not (drop and np.array_equal(pts[i], pts[j]))
-        ]
-    )
+    D = np.array([pts[i] - pts[j] for i in range(r) for j in range(i + 1, r)])
     return D / np.linalg.norm(D, axis=1)[:, None]
 
 
@@ -534,26 +527,29 @@ def test_pairwise_matches_reference_bitwise():
 
 def test_pairwise_drop_matches_reference_bitwise(caplog):
     rng = np.random.default_rng(14)
-    # Points 3 = 8 = 12 coincide in three pairs; points 11 = 12 make the
-    # one pair of the last block, point 11's, coincident.
+    # Points 8 and 12 repeat point 3 in the first input. Point 12 repeats
+    # point 11 in the second, the pair of the last block. The later copies
+    # are dropped.
     repeated = rng.standard_normal((12, 9))
     repeated[7] = repeated[2]
     repeated[11] = repeated[2]
     last = rng.standard_normal((12, 9))
     last[11] = last[10]
-    for pts, dropped in ((repeated, 3), (last, 1)):
+    for pts, dropped in ((repeated, [7, 11]), (last, [11])):
         caplog.clear()
         with caplog.at_level("WARNING"):
             u = ie.pairwise_unit_differences(ie.PointSet(pts), dedup_policy="drop")
-        assert u.n == 12 * 11 // 2 - dropped
-        assert u.X.tobytes() == _row_major_pairs(pts, drop=True).tobytes()
-        assert caplog.messages == [f"dropped {dropped} coincident pair(s) of 66"]
+        kept = np.delete(pts, dropped, axis=0)
+        assert u.n == (12 - len(dropped)) * (11 - len(dropped)) // 2
+        assert u.X.tobytes() == _row_major_pairs(kept).tobytes()
+        assert caplog.messages == [f"dropped {len(dropped)} repeated point(s) of 12"]
 
 
 def test_pairwise_peak_memory_is_the_output():
-    # The build keeps one float per pair, reads one point's differences at a
-    # time, and drops a coincident pair without building the rows: a dense
-    # build would need 8 d = 320 B/pair.
+    # The build keeps one float per pair and reads one point's differences at
+    # a time. A repeated point is dropped, and the first pass's pair lengths
+    # are freed before the kept points' are built: a dense build would need
+    # 8 d = 320 B/pair.
     pts = np.random.default_rng(15).standard_normal((300, 40))
     pts[299] = pts[3]
     P = ie.PointSet(pts)
@@ -563,5 +559,5 @@ def test_pairwise_peak_memory_is_the_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert u.n == 300 * 299 // 2 - 1
+    assert u.n == 299 * 298 // 2
     assert peak <= 32 * u.n
