@@ -18,6 +18,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .ascent import AscentConfig, primal_distortion, run_projected_ascent
 from .baselines import random_orthonormal_basis
 from .bounds import DEFAULT_RANK_TOL, approximation_bound, duality_sandwich_check
@@ -27,6 +32,17 @@ from .pairs import PairDifferenceSet
 from .types import ROW_NORM_TOL, DirectionSet, PointSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
+
+
+def _peak_rss_clause() -> str:
+    """", peak RSS X MB" for this process (MB = 2^20 bytes), or "" where
+    the resource module is missing. ru_maxrss is in KiB on Linux and in
+    bytes on macOS."""
+    if resource is None:
+        return ""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return ", peak RSS %.1f MB" % (rss / (2**20 if sys.platform == "darwin" else 2**10))
+
 
 def _json_scalar(value):
     if value is None:
@@ -232,7 +248,7 @@ def run_cli(argv=None) -> int:
     except (EmbeddingError, OSError, MemoryError) as exc:
         print(f"embed: error: {exc}", file=sys.stderr)
         return 1
-    logger.info("finished in %.3f s", time.perf_counter() - t_start)
+    logger.info("finished in %.3f s%s", time.perf_counter() - t_start, _peak_rss_clause())
     return 0
 
 

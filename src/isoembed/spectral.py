@@ -2,8 +2,9 @@
 
 M(lambda) = sum_i lambda_i x_i x_i' is the d x d PSD matrix whose top-k
 eigenpairs drive both the dual objective and the recovered embedding. n can
-be huge, but dense rows build M from the rows of positive weight only, and
-pair directions build it from an r x r Laplacian of their points.
+be huge, but dense rows build M from the rows of positive weight only, in
+blocks of at most 2^18 entries (``types.row_moment``), and pair directions
+build it from an r x r Laplacian of their points, in blocks of pairs.
 Everything after it works on the d x d matrix, where a dense symmetric
 eigendecomposition is the right tool.
 """
@@ -49,18 +50,21 @@ class SpectralState:
 
 
 def weighted_moment_matrix(X, w) -> np.ndarray:
-    """M = sum_i w_i x_i x_i' = A'A with A = diag(sqrt(w)) X, a d x d PSD matrix.
+    """M = sum_i w_i x_i x_i', a d x d PSD matrix.
 
     The weights must be nonnegative but need not sum to 1; a negative or
-    NaN weight raises ValueError naming its 1-based index. A holds only the
-    rows of positive weight: a zero-weight row adds exactly 0 to M, so it is
-    never read, and the time and temporary memory follow the support of w.
-    With every weight positive A is every row in order. numpy
-    computes A'A with BLAS syrk, which fills one triangle and mirrors it, so
-    M is exactly symmetric. For unit rows and simplex weights, trace(M) = 1.
-    M needs no unit rows, so raw rows are taken as they are, unchecked. A
-    DirectionSet builds M itself (``DirectionSet.moment``) once the weights
-    are checked.
+    NaN weight raises ValueError naming its 1-based index. Only the rows of
+    positive weight are read: a zero-weight row adds exactly 0 to M. They
+    are taken in order, in blocks of at most 2^18 entries, and M is the
+    first block's A'A plus the others' in order, A = diag(sqrt(w)) X over
+    the block's rows. So time and temporary memory follow the support of w,
+    and the working set is one block, not a copy of the kept rows. When
+    the kept rows fit in one block, M is bit for bit the single product
+    A'A over all of them. numpy computes each A'A with BLAS syrk, which
+    fills one triangle and mirrors it, so M is exactly symmetric. For unit
+    rows and simplex weights, trace(M) = 1. M needs no unit rows, so raw
+    rows are taken as they are, unchecked. A DirectionSet builds M itself
+    (``DirectionSet.moment``) once the weights are checked.
     """
     if isinstance(X, DirectionSet):
         n, moment = X.n, X.moment

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,27 @@ def test_a_run_builds_no_distortion_vector():
             assert not hasattr(got, "phi")
             want = ie.primal_distortion(X, V)
             assert (got.epsilon, got.argmax) == (want.epsilon, want.argmax)
+
+
+def test_memory_per_row():
+    # The rows counterpart of test_pairs.py::test_memory_per_pair: 40,000 x 50
+    # rows, 16 MB. M(uniform) reads every row, a step's lambda about a third
+    # of them and the average iterate 83%.
+    X = unit_rows(np.random.default_rng(48), 40_000, 50)
+    tracemalloc.start()
+    try:
+        res = ie.run_projected_ascent(X, 5, ie.AscentConfig(T=5))
+        ie.approximation_bound(X)
+        X.fingerprint()
+        ie.primal_distortion(X, ie.random_orthonormal_basis(50, 5, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.fingerprint == X.fingerprint()
+    # A moment that copies its kept rows whole peaks at 1.04x the rows. In
+    # blocks the run peaks at 0.218x (one 2 MB block and a few length-n
+    # vectors); the bound leaves room for two more length-n float vectors.
+    assert peak <= 0.26 * X.X.nbytes
 
 
 @st.composite

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -220,6 +221,27 @@ def test_points_whose_column_sums_overflow_embed(tmp_path, caplog):
     assert rc == 0
     assert json.loads(out.read_text())["n"] == 3
     assert "read 3 x 2 points in " in caplog.text
+
+
+def test_closing_line_states_time_and_peak_rss(tmp_path, small_input, caplog, monkeypatch):
+    out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    argv = ["--input", str(small_input), "--k", "2", "--iters", "5", "--out", str(out),
+            "--trace", str(trace)]
+    with caplog.at_level("INFO"):
+        assert run_cli(argv) == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("finished")]
+    assert len(lines) == 1
+    m = re.fullmatch(r"finished in (\d+\.\d{3}) s, peak RSS (\d+\.\d) MB", lines[0])
+    assert m, lines[0]
+    assert 1.0 <= float(m.group(2)) <= 1e5  # in MB, not KiB or bytes
+    # Without the resource module the clause is left out.
+    blobs = out.read_bytes(), trace.read_bytes()
+    caplog.clear()
+    monkeypatch.setattr(cli, "resource", None)
+    with caplog.at_level("INFO"):
+        assert run_cli(argv) == 0
+    assert any(re.fullmatch(r"finished in \d+\.\d{3} s", r.getMessage()) for r in caplog.records)
+    assert (out.read_bytes(), trace.read_bytes()) == blobs
 
 
 def test_header_flag_skips_first_line(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import isoembed as ie
+from isoembed import types as types_module
 from oracles import random_simplex_point, unit_rows
 
 
@@ -93,6 +94,51 @@ def test_moment_matrix_memory_follows_the_support():
         tracemalloc.stop()
     # A built from every row would peak near 1.07x the input; the support needs about 0.13x
     assert peak <= 0.25 * 8 * n * d
+
+
+@pytest.mark.parametrize("height", [1, 3])
+def test_row_blocks_sum_in_order(monkeypatch, height):
+    # 8 kept rows of 40: one-row blocks, or blocks of three with a last
+    # block of two rows.
+    rng = np.random.default_rng(30)
+    n, d = 40, 5
+    monkeypatch.setattr(types_module, "_ROW_BLOCK_ENTRIES", height * d)
+    X = unit_rows(rng, n, d).X
+    w = np.zeros(n)
+    keep = np.sort(rng.choice(n, 8, replace=False))
+    w[keep] = random_simplex_point(rng, 8)
+    M = ie.weighted_moment_matrix(X, w)
+    products = []
+    for a in range(0, keep.size, height):
+        i = keep[a : a + height]
+        A = X[i] * np.sqrt(w[i])[:, None]
+        products.append(A.T @ A)
+    expected = products[0]
+    for P in products[1:]:
+        expected = expected + P
+    assert len(products) == {1: 8, 3: 3}[height] and np.array_equal(M, expected)
+    assert np.array_equal(M, M.T)
+    assert np.abs(M - np.einsum("i,ij,ik->jk", w, X, X)).max() <= 1e-14
+    assert np.array_equal(M, ie.weighted_moment_matrix(X[keep], w[keep]))
+    assert np.array_equal(ie.weighted_moment_matrix(X, np.zeros(n)), np.zeros((d, d)))
+
+
+def test_moment_matrix_memory_is_one_block_at_full_support():
+    rng = np.random.default_rng(31)
+    n, d = 100_000, 20
+    X = unit_rows(rng, n, d)
+    w = random_simplex_point(rng, n)
+    assert (w > 0.0).all()
+    tracemalloc.start()
+    try:
+        ie.weighted_moment_matrix(X, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One product of every row peaks at 1.11x the input. Blocks peak
+    # at 0.195x: one block of 2 MB, the 0.8 MB index of the kept rows and
+    # their mask.
+    assert peak <= 0.25 * X.X.nbytes
 
 
 @pytest.mark.parametrize(
