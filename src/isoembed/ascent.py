@@ -169,8 +169,8 @@ def default_step_size(n: int, T: int) -> float:
 @dataclass(frozen=True)
 class _Iterate:
     """An evaluated iterate: its worst distortion epsilon, attained first at
-    argmax, and the dual g(lam) clipped to [0, 1]. It holds no length-n
-    vector besides lam."""
+    argmax, and the dual g(lam) clipped to [0, epsilon]. It holds no
+    length-n vector besides lam."""
 
     lam: np.ndarray
     basis: OrthonormalBasis
@@ -189,7 +189,10 @@ def _evaluate(X, M, lam, k):
     state = top_k_eigenpairs(M, k)
     s = X.sq_proj(state.basis.V)
     worst = _worst_distortion(s)
-    dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, 1.0))
+    # V spans the top-k eigenvectors of M(lam), so exactly
+    # g(lam) = sum_i lam_i (1 - s_i) <= max_i (1 - s_i) <= epsilon:
+    # a dual above epsilon is rounding.
+    dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, worst.epsilon))
     degenerate = state.spectral_gap < DEGENERACY_TOL
     return _Iterate(lam, state.basis, worst.epsilon, worst.argmax, dual, degenerate), s
 

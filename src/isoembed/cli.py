@@ -27,7 +27,7 @@ from .ascent import AscentConfig, primal_distortion, run_projected_ascent
 from .baselines import random_orthonormal_basis
 from .bounds import DEFAULT_RANK_TOL, approximation_bound, duality_sandwich_check
 from .errors import EmbeddingError
-from .ingest import load_points, normalize_rows, pairwise_unit_differences
+from .ingest import _normalize_in_place, load_points, pairwise_unit_differences
 from .pairs import PairDifferenceSet
 from .types import ROW_NORM_TOL, DirectionSet, PointSet, UnitVectorSet
 
@@ -65,6 +65,9 @@ def emit_report(result, bounds, baselines, path, *, n, d, k, iters, eta, mode):
     the string "inf"; the output is byte-reproducible. ``baselines`` maps
     method name -> WorstDistortion: its "pca" and "random" entries give
     the optional epsilon_pca and epsilon_random fields, after dual_best.
+    dual_best is written as at most epsilon_alg: weak duality bounds it so,
+    and ``duality_sandwich_check``, run first, refuses an excess beyond
+    rounding.
     """
     fields = [
         ("n", n),
@@ -75,7 +78,7 @@ def emit_report(result, bounds, baselines, path, *, n, d, k, iters, eta, mode):
         ("mode", mode),
         ("epsilon_alg", result.distortion.epsilon),
         ("selected_iterate", result.selected_iterate),
-        ("dual_best", result.best_dual_value),
+        ("dual_best", min(result.best_dual_value, result.distortion.epsilon)),
         *[("epsilon_" + m, baselines[m].epsilon) for m in ("pca", "random") if m in baselines],
         ("bound_sigma", bounds.bound_sigma),
         ("bound_kappa", bounds.bound_kappa),
@@ -179,6 +182,9 @@ def _subsample_pairs(units: PairDifferenceSet, max_pairs: int, seed: int) -> Dir
 
 
 def _build_units(args, points: PointSet) -> DirectionSet:
+    """The direction set of the run. In rows mode it takes over the points'
+    array: rows that are not unit length are divided in place, so the
+    caller must not read ``points`` afterwards."""
     if args.mode == "pairwise":
         policy = "drop" if args.dedup else "error"
         units = pairwise_unit_differences(points, dedup_policy=policy)
@@ -186,7 +192,9 @@ def _build_units(args, points: PointSet) -> DirectionSet:
     P = points.points
     if np.abs(np.sqrt(np.einsum("ij,ij->i", P, P)) - 1.0).max() > ROW_NORM_TOL:
         logger.warning("rows are not unit length; renormalizing")
-        return normalize_rows(P)
+        # load_points' array owns its data or views a writeable buffer.
+        P.flags.writeable = True
+        return _normalize_in_place(P)
     return UnitVectorSet(P)
 
 
@@ -220,7 +228,7 @@ def run_cli(argv=None) -> int:
         if args.k > points.d:
             parser.error(f"--k {args.k} exceeds the data dimension {points.d}")
         units = _build_units(args, points)
-        del points  # in rows mode a renormalised copy replaces them
+        del points  # in rows mode units holds their array
         result = run_projected_ascent(units, args.k, cfg)
         bounds = approximation_bound(units, rank_tol=args.rank_tol)
         baselines = {}

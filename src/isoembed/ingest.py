@@ -12,7 +12,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ContractError, DegenerateVectorError, LoadError, ShapeError
-from .pairs import _TINY, PairDifferenceSet
+from .pairs import _BLOCK_ENTRIES, _TINY, PairDifferenceSet
 from .types import PointSet, UnitVectorSet
 
 logger = logging.getLogger(__name__)
@@ -113,12 +113,23 @@ def normalize_rows(M) -> UnitVectorSet:
     coincidence threshold) is divided by its largest absolute entry first.
     A row holding a NaN or an infinity raises ContractError, and then an
     all-zero row DegenerateVectorError, each naming the first such row
-    (1-based), before any division."""
-    M = np.asarray(M, dtype=np.float64)
+    (1-based), before any division. M is copied, never written to."""
+    return _normalize_in_place(np.array(M, dtype=np.float64, order="C"))
+
+
+def _normalize_in_place(M) -> UnitVectorSet:
+    """normalize_rows on a writeable C-contiguous float64 array, divided in
+    place and taken over by the returned set, so the rows are held once.
+    The norms are np.linalg.norm's over blocks of rows of about
+    _BLOCK_ENTRIES entries, so the squares it forms are one block's, and
+    each row's norm is bitwise that of one call over M."""
     if M.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
+    norms = np.empty(M.shape[0])
+    h = max(1, _BLOCK_ENTRIES // max(1, M.shape[1]))
     with np.errstate(over="ignore"):  # such a row is rescaled below
-        norms = np.linalg.norm(M, axis=1)
+        for a in range(0, M.shape[0], h):
+            norms[a : a + h] = np.linalg.norm(M[a : a + h], axis=1)
     odd = np.flatnonzero(~((norms >= math.sqrt(_TINY)) & (norms < math.inf)))
     A = np.abs(M[odd])
     finite = np.isfinite(A).all(axis=1)
@@ -128,10 +139,10 @@ def normalize_rows(M) -> UnitVectorSet:
     if (top == 0.0).any():
         raise DegenerateVectorError(int(odd[np.argmax(top == 0.0)]) + 1)
     norms[odd] = 1.0
-    U = M / norms[:, None]
-    U[odd] /= top[:, None]
-    U[odd] /= np.linalg.norm(U[odd], axis=1)[:, None]
-    return UnitVectorSet(U)
+    M /= norms[:, None]
+    M[odd] /= top[:, None]
+    M[odd] /= np.linalg.norm(M[odd], axis=1)[:, None]
+    return UnitVectorSet(M)
 
 
 def pairwise_unit_differences(P, dedup_policy: str = "error") -> PairDifferenceSet:

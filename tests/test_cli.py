@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -6,16 +7,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import isoembed as ie
-from isoembed import cli
+from isoembed import cli, ingest
 from isoembed.cli import run_cli
+from isoembed.types import ROW_NORM_TOL
 
 
 def write_matrix(path, M, header=None):
@@ -179,15 +185,15 @@ def test_rows_mode_renormalizes_with_warning(tmp_path, caplog, monkeypatch):
     path = tmp_path / "rows.csv"
     write_matrix(path, [[2.0, 0.0], [0.0, 0.5]])
     out = tmp_path / "r.json"
-    # the loaded rows are freed once their renormalised copy exists
-    loaded, alive = [], []
+    # the loaded rows are divided in place: the solve reads the loaded buffer
+    loaded, same = [], []
     real_load, real_run = cli.load_points, cli.run_projected_ascent
     monkeypatch.setattr(
         cli, "load_points",
         lambda *a, **kw: loaded.append(weakref.ref((p := real_load(*a, **kw)).points)) or p,
     )
     monkeypatch.setattr(
-        cli, "run_projected_ascent", lambda *a: alive.append(loaded[0]() is not None) or real_run(*a)
+        cli, "run_projected_ascent", lambda *a: same.append(a[0].X is loaded[0]()) or real_run(*a)
     )
     with caplog.at_level("WARNING"):
         rc = run_cli(
@@ -196,7 +202,7 @@ def test_rows_mode_renormalizes_with_warning(tmp_path, caplog, monkeypatch):
     assert rc == 0
     assert any("renormaliz" in rec.message for rec in caplog.records)
     assert json.loads(out.read_text())["n"] == 2
-    assert alive == [False]
+    assert same == [True]
 
 
 def test_rows_mode_renormalizes_rows_of_extreme_norm(tmp_path):
@@ -209,6 +215,83 @@ def test_rows_mode_renormalizes_rows_of_extreme_norm(tmp_path):
     )
     assert rc == 0
     assert json.loads(out.read_text())["n"] == 3
+
+
+def test_rows_mode_holds_its_rows_once(tmp_path):
+    # 40,000 x 50 rows of norm about 21: the rows are divided where they
+    # were parsed, and the norms are taken a block of rows at a time.
+    path = tmp_path / "rows.csv"
+    P = 3.0 * np.random.default_rng(29).standard_normal((40_000, 50))
+    np.savetxt(path, P, fmt="%.17g", delimiter=",")
+    args = cli.build_parser().parse_args(["--input", str(path), "--mode", "rows", "--k", "2"])
+    points = ie.load_points(path)
+    tracemalloc.start()
+    try:
+        units = cli._build_units(args, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * units.X.nbytes
+    assert np.shares_memory(units.X, points.points)
+    assert np.array_equal(units.X, P / np.linalg.norm(P, axis=1)[:, None])
+
+
+@st.composite
+def row_files(draw):
+    """Rows that are not all unit length, some of extreme norm, as the text
+    of a rows file. Under line_by_line the second line is split on spaces
+    and the others on commas, which numpy's reader refuses."""
+    d = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=2, max_size=10))
+    scales = draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3, 1e200, 1e-170]),
+                           min_size=len(rows), max_size=len(rows)))
+    M = np.array(rows) * np.array(scales)[:, None]
+    assume(all(np.any(row != 0.0) for row in M))
+    with np.errstate(over="ignore"):
+        assume(np.abs(np.sqrt(np.einsum("ij,ij->i", M, M)) - 1.0).max() > ROW_NORM_TOL)
+    line_by_line = draw(st.booleans())
+    lines = [(" " if line_by_line and i == 1 else ",").join("%.17g" % v for v in row)
+             for i, row in enumerate(M)]
+    return M, "\n".join(lines) + "\n", draw(st.integers(1, 2 * d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_files())
+@example((np.array([[1e200, 1e200], [1e-170, -1e-170], [3.0, 4.0]]),
+          "1e200,1e200\n1e-170 -1e-170\n3,4\n", 2))
+def test_rows_mode_divides_in_place_bitwise_as_normalize_rows(spec):
+    # Blocks of one or two rows against the whole-array norms of
+    # normalize_rows at its default block, which holds every drawn row.
+    M, text, block_entries = spec
+    expected = ie.normalize_rows(M).X
+    args = cli.build_parser().parse_args(["--input", "-", "--mode", "rows", "--k", "1"])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK_ENTRIES", block_entries):
+        path = Path(tmp) / "rows.csv"
+        path.write_text(text)
+        X = cli._build_units(args, ie.load_points(path)).X
+    assert X.tobytes() == expected.tobytes()
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=1)
+    if ((norms >= math.sqrt(np.finfo(np.float64).tiny)) & (norms < math.inf)).all():
+        assert X.tobytes() == (M / norms[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("rows", ["0,0\n0,1\n0,2\n", "1e308,0\n1e308,1\n1e308,2\n"])
+def test_exact_embeddings_report_no_dual_above_epsilon(tmp_path, rows):
+    # Collinear points: every difference is (0, 1), which k = 1 embeds
+    # exactly, so each iterate's epsilon is 0 and so is its dual.
+    path = tmp_path / "line.csv"
+    path.write_text(rows)
+    out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    rc = run_cli(["--input", str(path), "--k", "1", "--iters", "5", "--out", str(out),
+                  "--trace", str(trace)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["dual_best"] <= report["epsilon_alg"]
+    records = list(csv.DictReader(trace.read_text().splitlines()))
+    assert len(records) == 7
+    assert all(float(rec["dual_value"]) <= float(rec["primal_epsilon"]) for rec in records)
 
 
 def test_points_whose_column_sums_overflow_embed(tmp_path, caplog):
@@ -419,6 +502,22 @@ def test_weak_duality_violation_exits_1_without_a_report(tmp_path, small_input, 
         assert rc == 1
         assert "weak duality violated" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_report_writes_a_dual_within_rounding_of_epsilon_as_epsilon(
+    tmp_path, small_input, monkeypatch
+):
+    real = cli.run_projected_ascent
+
+    def rounded_up(*args):
+        res = real(*args)
+        return dataclasses.replace(res, best_dual_value=res.distortion.epsilon + 1e-12)
+
+    monkeypatch.setattr(cli, "run_projected_ascent", rounded_up)
+    out = tmp_path / "r.json"
+    assert run_cli(["--input", str(small_input), "--k", "2", "--iters", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["dual_best"] == report["epsilon_alg"]
 
 
 def test_unwritable_out_path_exits_1(tmp_path, small_input, capsys):
