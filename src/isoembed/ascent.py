@@ -102,11 +102,20 @@ def _worst_distortion(s) -> WorstDistortion:
 
 
 def _gradient(s):
-    g = -s
+    """The dual gradient -s at the squared projections s, written over s."""
+    g = np.negative(s, out=s)
     # ||V'x||^2 <= 1 for unit x; clip fp excess so the Lipschitz bound
     # ||grad||_2 <= sqrt(n) holds literally.
     np.clip(g, -1.0, 0.0, out=g)
     return g
+
+
+def _step(s, lam, eta):
+    """lam + eta * _gradient(s), bit for bit, written over s."""
+    y = _gradient(s)
+    y *= eta
+    y += lam
+    return y
 
 
 def primal_distortion(X, V) -> WorstDistortion:
@@ -219,24 +228,30 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
     best = cur = pca
     trace = [pca.record(0, best)]
-    lam_sum = np.zeros(n)
+    # Written, not calloc'ed as by np.zeros: the first += would fault each
+    # fresh page twice, once to read the zero page and once to write it.
+    lam_sum = np.full(n, 0.0)
     support = 0  # summed over the steps: the moment kernel reads these rows
+    lam = pca.lam
     for t in range(1, T + 1):
-        # lam + eta * _gradient(s), projected in place: y becomes lam.
-        # (Forming y in s's buffer instead keeps one vector fewer, but glibc
-        # then trims and re-maps the heap: 16x the page faults.)
-        y = _gradient(s)
-        y *= eta
-        y += cur.lam
-        del s, cur  # spent: freed before the projection, its lam unless best
-        lam = _project_in_place(y)
+        # The step, formed in s's buffer and projected in place, becomes lam.
+        lam = _step(s, lam, eta)
+        # The spent lam is freed before the projection unless it is best's:
+        # the loop holds lam, lam_sum and s, three length-n vectors.
+        del s, cur
+        lam = _project_in_place(lam)
         lam_sum += lam
         support += np.count_nonzero(lam)
         cur, s = _evaluate(X, X.moment(lam), lam, k)
         if cur.epsilon < best.epsilon:
             best = cur
         trace.append(cur.record(t, best))
-    del s, cur  # freed before the average iterate's moment unless best
+    # s is freed before the average iterate's. The last lam is kept: the
+    # average's evaluation then holds no more vectors than the last step's,
+    # and freeing lam too lets glibc trim the heap that the average's s
+    # then faults back in (about 560 more minor faults on the perfbench
+    # pairwise-solve input).
+    del s
 
     records = list(trace)
     selected = "best"

@@ -19,6 +19,12 @@ The rounds stop once one removes less than MIN_ROUND_SHRINK of its input.
 Each earlier round shrank the set by at least that share, so the rounds
 scan at most about n / MIN_ROUND_SHRINK entries in all, and an input whose
 rounds each remove a little costs about one full sort.
+
+A round compacts its kept entries into one new vector, _CHUNK_ENTRIES input
+entries at a time. np.compress forms an index array as long as its output,
+even with ``out=``, so over the whole input it would add a second vector of
+the kept size; in chunks the index is at most one chunk's, and each chunk's
+entries are taken straight into their place in the output.
 """
 
 from __future__ import annotations
@@ -30,6 +36,23 @@ from .types import SIMPLEX_TOL, SimplexWeights, weights_vector
 # The first candidate round that removes less than this share of its input
 # is the last (module docstring).
 MIN_ROUND_SHRINK = 0.1
+
+# A round compacts its kept entries this many input entries at a time
+# (module docstring): 512 KB of float64.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _compress(above: np.ndarray, c: np.ndarray, kept: int) -> np.ndarray:
+    """np.compress(above, c), kept entries long, built chunk by chunk."""
+    out = np.empty(kept)
+    a = 0
+    for i in range(0, c.size, _CHUNK_ENTRIES):
+        j = np.flatnonzero(above[i : i + _CHUNK_ENTRIES])
+        # The indices are in range; "clip" skips the check and, unlike
+        # "raise", writes to out without an intermediate buffer.
+        np.take(c[i : i + _CHUNK_ENTRIES], j, out=out[a : a + j.size], mode="clip")
+        a += j.size
+    return out
 
 
 def _support_superset(z: np.ndarray) -> np.ndarray:
@@ -44,7 +67,8 @@ def _support_superset(z: np.ndarray) -> np.ndarray:
             return cand
         if kept > (1.0 - MIN_ROUND_SHRINK) * c.size:
             return c
-        cand, c = c, np.compress(above, c)
+        cand = c  # the previous round's input is freed before the compaction
+        c = _compress(above, c, kept)
 
 
 def project_to_simplex(y) -> SimplexWeights:

@@ -28,10 +28,11 @@ ROW_NORM_TOL = 1e-9
 SIMPLEX_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 
-# At most this many entries per block of row_moment: 2 MB of float64. The
-# 42 moments of one 8000 x 300 run (one BLAS thread) took 545, 491, 469 and
-# 437 ms in blocks of 2^16, 2^17, 2^18 and 2^19 entries, and 474 ms as one
-# product over a copy of the kept rows; 2^19 doubles the working set.
+# At most this many entries of X per block of row_moment and row_sq_proj:
+# 2 MB of float64. The 42 moments of one 8000 x 300 run (one BLAS thread)
+# took 545, 491, 469 and 437 ms in blocks of 2^16, 2^17, 2^18 and 2^19
+# entries, and 474 ms as one product over a copy of the kept rows; 2^19
+# doubles the working set.
 _ROW_BLOCK_ENTRIES = 1 << 18
 
 
@@ -100,9 +101,16 @@ def row_moment(Xm, w) -> np.ndarray:
 
 
 def row_sq_proj(Xm, V) -> np.ndarray:
-    """s_i = ||V'x_i||^2 over the rows of Xm: one Xm @ V product."""
-    Y = Xm @ V
-    return np.einsum("ij,ij->i", Y, Y)
+    """s_i = ||V'x_i||^2 over the rows of Xm, in blocks of rows of at most
+    _ROW_BLOCK_ENTRIES entries: each block's Xm @ V and the row sums of its
+    squares, written into s. A call's working set is one block's product."""
+    h = max(1, _ROW_BLOCK_ENTRIES // Xm.shape[1])
+    s = np.empty(Xm.shape[0])
+    for a in range(0, Xm.shape[0], h):
+        Y = Xm[a : a + h] @ V
+        np.einsum("ij,ij->i", Y, Y, out=s[a : a + h])
+        del Y  # freed before the next block's product
+    return s
 
 
 def check_unit_rows(X):

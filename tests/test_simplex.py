@@ -138,6 +138,42 @@ def test_candidate_rounds_stop_at_the_round_limit(monkeypatch):
     assert same_bits(ie.project_to_simplex(y).lam, sort_simplex_projection(y))
 
 
+def whole_round_superset(z):
+    """_support_superset with one np.compress over each round's input."""
+    cand = c = z
+    while True:
+        above = c > (c.sum() - 1.0) / c.size
+        kept = np.count_nonzero(above)
+        if kept == c.size:
+            return cand
+        if kept > (1.0 - simplex.MIN_ROUND_SHRINK) * c.size:
+            return c
+        cand, c = c, np.compress(above, c)
+
+
+def check_chunked_rounds(y, chunk):
+    z = y - y.max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_CHUNK_ENTRIES", chunk)
+        got = simplex._support_superset(z)
+        lam = ie.project_to_simplex(y).lam
+    assert same_bits(got, whole_round_superset(z))
+    assert same_bits(lam, sort_simplex_projection(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3000), st.floats(1e-4, 10.0), st.integers(1, 7))
+def test_rounds_compacted_in_chunks_keep_the_bits_of_whole_rounds(seed, n, scale, chunk):
+    # Chunks of a few entries: every round with more input entries crosses
+    # chunk edges, and most end inside a chunk.
+    check_chunked_rounds(np.random.default_rng(seed).normal(0.0, scale, n), chunk)
+
+
+def test_many_rounds_compacted_in_chunks_keep_the_bits_of_whole_rounds():
+    # Eight rounds, from 20,000 entries down to 257, over chunks of 7 entries.
+    check_chunked_rounds(np.random.default_rng(13).normal(0.0, 0.01, 20_000), 7)
+
+
 def test_output_feasible_and_idempotent():
     rng = np.random.default_rng(7)
     for _ in range(200):

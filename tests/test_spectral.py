@@ -141,6 +141,36 @@ def test_moment_matrix_memory_is_one_block_at_full_support():
     assert peak <= 0.25 * X.X.nbytes
 
 
+@pytest.mark.parametrize("height", [1, 3])
+def test_row_sq_proj_writes_each_block_in_place(monkeypatch, height):
+    # 40 rows: one-row blocks, or blocks of three with a last block of one row.
+    rng = np.random.default_rng(32)
+    n, d = 40, 5
+    monkeypatch.setattr(types_module, "_ROW_BLOCK_ENTRIES", height * d)
+    X = unit_rows(rng, n, d).X
+    V = ie.random_orthonormal_basis(d, 2, seed=3).V
+    s = types_module.row_sq_proj(X, V)
+    blocks = [X[a : a + height] @ V for a in range(0, n, height)]
+    assert s.tobytes() == np.concatenate([np.einsum("ij,ij->i", Y, Y) for Y in blocks]).tobytes()
+    assert np.abs(s - np.square(X @ V).sum(axis=1)).max() <= 1e-15
+
+
+def test_row_sq_proj_memory_is_one_block():
+    rng = np.random.default_rng(33)
+    X = unit_rows(rng, 100_000, 20)
+    V = ie.random_orthonormal_basis(20, 10, seed=4).V
+    tracemalloc.start()
+    try:
+        s = X.sq_proj(V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One X @ V product peaks at 11x the output: its 8 MB of n x k entries
+    # and s. Blocks of 2^18 entries of X peak at 2.3x: s and one block's
+    # 1 MB product.
+    assert peak <= 3.0 * s.nbytes
+
+
 @pytest.mark.parametrize(
     "fn, error",
     [
