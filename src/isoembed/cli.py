@@ -27,9 +27,9 @@ from .ascent import AscentConfig, primal_distortion, run_projected_ascent
 from .baselines import random_orthonormal_basis
 from .bounds import DEFAULT_RANK_TOL, approximation_bound, duality_sandwich_check
 from .errors import EmbeddingError
-from .ingest import _normalize_in_place, load_points, pairwise_unit_differences
+from .ingest import load_points, pairwise_unit_differences
 from .pairs import PairDifferenceSet
-from .types import ROW_NORM_TOL, DirectionSet, PointSet, UnitVectorSet
+from .types import DirectionSet, PointSet, UnitVectorSet, _normalize_in_place
 
 logger = logging.getLogger(__name__)
 
@@ -183,18 +183,17 @@ def _subsample_pairs(units: PairDifferenceSet, max_pairs: int, seed: int) -> Dir
 
 def _build_units(args, points: PointSet) -> DirectionSet:
     """The direction set of the run. In rows mode it takes over the points'
-    array: rows that are not unit length are divided in place, so the
-    caller must not read ``points`` afterwards."""
+    array: rows that are not unit length are divided in place, by the rule
+    of ``normalize_rows``, so the caller must not read ``points``
+    afterwards."""
     if args.mode == "pairwise":
-        policy = "drop" if args.dedup else "error"
-        units = pairwise_unit_differences(points, dedup_policy=policy)
+        units = pairwise_unit_differences(points, dedup_policy="drop" if args.dedup else "error")
         return _subsample_pairs(units, args.max_pairs, args.seed)
     P = points.points
-    if np.abs(np.sqrt(np.einsum("ij,ij->i", P, P)) - 1.0).max() > ROW_NORM_TOL:
+    # load_points' array owns its data or views a writeable buffer.
+    P.flags.writeable = True
+    if _normalize_in_place(P):
         logger.warning("rows are not unit length; renormalizing")
-        # load_points' array owns its data or views a writeable buffer.
-        P.flags.writeable = True
-        return _normalize_in_place(P)
     return UnitVectorSet(P)
 
 

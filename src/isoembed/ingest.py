@@ -11,9 +11,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ContractError, DegenerateVectorError, LoadError, ShapeError
-from .pairs import _BLOCK_ENTRIES, _TINY, PairDifferenceSet
-from .types import PointSet, UnitVectorSet
+from .errors import ContractError, LoadError
+from .pairs import PairDifferenceSet
+from .types import PointSet, UnitVectorSet, _normalize_in_place
 
 logger = logging.getLogger(__name__)
 
@@ -108,40 +108,18 @@ def load_points(path, skip_header: bool = False) -> PointSet:
 
 
 def normalize_rows(M) -> UnitVectorSet:
-    """Scale each row of M to unit length, M_i / ||M_i||. A row whose norm
-    overflows or is below sqrt(tiny) (about 1.5e-154, the pair set's
-    coincidence threshold) is divided by its largest absolute entry first.
-    A row holding a NaN or an infinity raises ContractError, and then an
-    all-zero row DegenerateVectorError, each naming the first such row
-    (1-based), before any division. M is copied, never written to."""
-    return _normalize_in_place(np.array(M, dtype=np.float64, order="C"))
-
-
-def _normalize_in_place(M) -> UnitVectorSet:
-    """normalize_rows on a writeable C-contiguous float64 array, divided in
-    place and taken over by the returned set, so the rows are held once.
-    The norms are np.linalg.norm's over blocks of rows of about
-    _BLOCK_ENTRIES entries, so the squares it forms are one block's, and
-    each row's norm is bitwise that of one call over M."""
-    if M.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got ndim={M.ndim}")
-    norms = np.empty(M.shape[0])
-    h = max(1, _BLOCK_ENTRIES // max(1, M.shape[1]))
-    with np.errstate(over="ignore"):  # such a row is rescaled below
-        for a in range(0, M.shape[0], h):
-            norms[a : a + h] = np.linalg.norm(M[a : a + h], axis=1)
-    odd = np.flatnonzero(~((norms >= math.sqrt(_TINY)) & (norms < math.inf)))
-    A = np.abs(M[odd])
-    finite = np.isfinite(A).all(axis=1)
-    if not finite.all():
-        raise ContractError(f"row {int(odd[np.argmin(finite)]) + 1} contains non-finite entries")
-    top = A.max(axis=1, initial=0.0)
-    if (top == 0.0).any():
-        raise DegenerateVectorError(int(odd[np.argmax(top == 0.0)]) + 1)
-    norms[odd] = 1.0
-    M /= norms[:, None]
-    M[odd] /= top[:, None]
-    M[odd] /= np.linalg.norm(M[odd], axis=1)[:, None]
+    """The rows of M as unit vectors, by the one rule that UnitVectorSet
+    and ``embed --mode rows`` follow too. Rows all within ROW_NORM_TOL
+    (1e-9) of unit length are kept bit for bit; otherwise every row is
+    divided by its np.linalg.norm, and a row whose norm overflows or is
+    below sqrt(tiny) (about 1.5e-154, the pair set's coincidence threshold)
+    by its largest absolute entry first. So normalize_rows is idempotent,
+    bit for bit. A row holding a NaN or an infinity raises ContractError,
+    and then an all-zero row DegenerateVectorError, each naming the first
+    such row (1-based), before any division; an empty matrix of either
+    shape raises ShapeError. M is copied, never written to."""
+    M = np.array(M, dtype=np.float64, order="C")
+    _normalize_in_place(M)
     return UnitVectorSet(M)
 
 

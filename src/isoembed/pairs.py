@@ -49,19 +49,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoincidentPairError, ContractError, ShapeError
-from .types import DirectionSet, PointSet, _freeze, row_moment, row_sq_proj
+from .types import _BLOCK_ENTRIES, _TINY, DirectionSet, PointSet, _freeze, row_moment, row_sq_proj
 
 # kappa above this sends a pair to the exact route. On the perfbench inputs
 # the largest kappa is 19, so none of their pairs takes it.
 KAPPA_LIMIT = 32.0
 
-# About this many pair entries per row block of sq_proj and moment (module
-# docstring): 512 KB of float64, about an L2 cache.
-_BLOCK_ENTRIES = 1 << 16
-
 logger = logging.getLogger(__name__)
-
-_TINY = np.finfo(np.float64).tiny
 
 
 def _point_blocks(P):

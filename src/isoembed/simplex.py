@@ -4,6 +4,12 @@ The projection sorts descending, finds the largest prefix whose shifted
 entries stay positive, shifts by the corresponding constant and clips. The
 result is the unique nearest point of {w : w_i >= 0, sum w_i = 1}.
 
+The vector is first shifted by its largest entry, and every shifted entry
+below -2 is raised to -2. The threshold lies within 1 of the largest entry,
+so those entries are outside the support and still project to 0, and a
+finite input whose spread exceeds the float range, such as [1.7e308,
+-1.7e308, 1.0], projects without overflow.
+
 Only a candidate set is sorted. Michelot's iteration (J. Optim. Theory
 Appl. 1986; Condat, Math. Program. 2016) keeps the entries above
 tau = (sum(c) - 1)/|c| and repeats; in exact arithmetic tau rises to the
@@ -94,8 +100,12 @@ def _project_in_place(z: np.ndarray) -> np.ndarray:
     (unchecked), overwriting it with the projection and returning it."""
     # Shifting every entry by one constant leaves the projection unchanged.
     # Shifted by the largest, the entries that stay positive lie within 1 of
-    # 0 and are exact differences, so large inputs do not cancel below.
-    z -= z.max()
+    # 0 and are exact differences, so large inputs do not cancel below. The
+    # entries below -2, an overflowed -inf among them, are raised to -2
+    # (module docstring), so no prefix sum overflows.
+    with np.errstate(over="ignore"):
+        z -= z.max()
+    np.maximum(z, -2.0, out=z)
     for c in (_support_superset(z), z):
         u = np.sort(c)[::-1]
         css = np.cumsum(u)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DegenerateVectorError, ShapeError
 
 # Row norms may deviate from 1 by this much before construction refuses the
 # data outright; smaller deviations (above ROW_NORM_TOL) are silently
@@ -34,6 +34,15 @@ ORTHONORMAL_TOL = 1e-8
 # entries, and 474 ms as one product over a copy of the kept rows; 2^19
 # doubles the working set.
 _ROW_BLOCK_ENTRIES = 1 << 18
+
+# About this many entries per block of the row norms of _normalize_in_place
+# and of the pair set's row blocks: 512 KB of float64, about an L2 cache.
+_BLOCK_ENTRIES = 1 << 16
+
+# The smallest normal float. A pair whose squared distance is below it is
+# coincident, and a row whose norm is below its square root is divided by its
+# largest entry before its norm.
+_TINY = np.finfo(np.float64).tiny
 
 
 def as_float_matrix(a, name):
@@ -113,8 +122,8 @@ def row_sq_proj(Xm, V) -> np.ndarray:
     return s
 
 
-def check_unit_rows(X):
-    """The row norms of X and their largest deviation from 1. ContractError when
+def check_unit_rows(X) -> float:
+    """The largest deviation from 1 of the row norms of X. ContractError when
     it exceeds RENORMALIZE_LIMIT, naming the first row with a non-finite
     entry or else the worst row, 1-based. One read pass with no temporary
     of X's size: a NaN or inf entry, or one whose square overflows, leaves
@@ -131,7 +140,41 @@ def check_unit_rows(X):
             f"row {i + 1} has norm {norms[i]:.6g}; rows must be unit length "
             f"(deviation {dev[i]:.3g} exceeds {RENORMALIZE_LIMIT:g})"
         )
-    return norms, worst
+    return worst
+
+
+def _normalize_in_place(M) -> bool:
+    """Make the rows of M, a writeable C-contiguous float64 matrix, unit
+    length in place: the one rule of UnitVectorSet, normalize_rows and
+    ``embed --mode rows``. When every row's np.linalg.norm is within
+    ROW_NORM_TOL of 1, M is left as it is and False returned. Otherwise
+    every row is divided by its norm and True returned; a row whose norm
+    overflows or is below sqrt(_TINY) (about 1.5e-154, the pair set's
+    coincidence threshold) is divided by its largest absolute entry first.
+    A row holding a NaN or an infinity raises ContractError, and then an
+    all-zero row DegenerateVectorError, each naming the first such row
+    (1-based), before any division; ShapeError unless M is a non-empty 2-d
+    matrix. The norms are taken over blocks of rows of about _BLOCK_ENTRIES
+    entries, so the squares formed are one block's, and each row's norm is
+    bitwise that of one call over M."""
+    as_float_matrix(M, "M")
+    h = max(1, _BLOCK_ENTRIES // M.shape[1])
+    with np.errstate(over="ignore"):  # such a row is rescaled below
+        norms = np.concatenate([np.linalg.norm(M[a : a + h], axis=1) for a in range(0, len(M), h)])
+    if np.abs(norms - 1.0).max() <= ROW_NORM_TOL:
+        return False
+    odd = np.flatnonzero(~((norms >= np.sqrt(_TINY)) & (norms < np.inf)))
+    top = np.abs(M[odd]).max(axis=1, initial=0.0)  # NaN or inf on a non-finite row
+    bad = ~np.isfinite(top)
+    if bad.any():
+        raise ContractError(f"row {int(odd[np.argmax(bad)]) + 1} contains non-finite entries")
+    if (top == 0.0).any():
+        raise DegenerateVectorError(int(odd[np.argmax(top == 0.0)]) + 1)
+    norms[odd] = 1.0
+    M /= norms[:, None]
+    M[odd] /= top[:, None]
+    M[odd] /= np.linalg.norm(M[odd], axis=1)[:, None]
+    return True
 
 
 @dataclass(frozen=True)
@@ -214,19 +257,21 @@ class UnitVectorSet(DirectionSet):
     """An n x d matrix whose rows are unit-length direction vectors.
 
     Rows whose norm deviates from 1 by more than ``ROW_NORM_TOL`` but at
-    most ``RENORMALIZE_LIMIT`` are renormalized (benign roundoff); larger
-    deviations raise, since they indicate the wrong data was passed.
-    A float64 C-contiguous ``X`` that needs no renormalising is kept without
-    a copy and made read-only; pass ``X.copy()`` to keep writing to it.
+    most ``RENORMALIZE_LIMIT`` are renormalized (benign roundoff) by the
+    rule of ``normalize_rows``, on a copy, so the rows of a
+    ``normalize_rows`` result are kept bit for bit; larger deviations raise,
+    since they indicate the wrong data was passed. A float64 C-contiguous
+    ``X`` that needs no renormalising is kept without a copy and made
+    read-only; pass ``X.copy()`` to keep writing to it.
     """
 
     X: np.ndarray
 
     def __post_init__(self):
         X = as_float_matrix(self.X, "X")
-        norms, worst = check_unit_rows(X)
-        if worst > ROW_NORM_TOL:
-            X = X / norms[:, None]
+        if check_unit_rows(X) > ROW_NORM_TOL:
+            X = np.array(X, order="C")
+            _normalize_in_place(X)
         object.__setattr__(self, "X", _freeze(X))
 
     @property

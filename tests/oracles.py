@@ -137,6 +137,21 @@ def clustered_rows(rng, n, d, spread=0.2):
     return ie.UnitVectorSet(M / np.linalg.norm(M, axis=1, keepdims=True))
 
 
+def frame_rows(rng, d, noise=0.0):
+    """The rows of a seeded d x d orthogonal matrix Q, an instance whose
+    optimum is known. For every rank-k projector P the squared lengths
+    x_i'P x_i sum to trace(P) = k, so some row keeps at most k/d and
+    epsilon >= 1 - k/d; uniform weights give M = Q'Q/d = I/d and a dual of
+    1 - k/d, so the optimum is exactly 1 - k/d. With ``noise`` each entry
+    gets N(0, (noise/sqrt(d))^2) and the rows are renormalised; the optimum
+    is then unknown, but weak duality still holds."""
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if noise:
+        Q = Q + noise / math.sqrt(d) * rng.standard_normal((d, d))
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+    return ie.UnitVectorSet(Q)
+
+
 def random_simplex_point(rng, n):
     w = rng.exponential(1.0, size=n)
     return w / w.sum()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import isoembed as ie
 from isoembed import ascent
-from oracles import clustered_rows, fd_dual_gradient, random_simplex_point, unit_rows
+from oracles import clustered_rows, fd_dual_gradient, frame_rows, random_simplex_point, unit_rows
 
 
 # ---------------------------------------------------------------- objective
@@ -253,6 +253,27 @@ def test_t_zero_equals_pca_exactly():
     eps_pca = ie.primal_distortion(X, ie.pca_basis(X, 2)).epsilon
     assert res.distortion.epsilon == eps_pca
     assert res.step_size == 0.0
+
+
+KNOWN_OPTIMA = [(20, 5), (40, 8), (60, 20), (200, 30)]
+
+
+@pytest.mark.parametrize("d, k", KNOWN_OPTIMA)
+def test_orthogonal_rows_certify_their_known_optimum(d, k):
+    # The optimum is exactly 1 - k/d (oracles.frame_rows), and the uniform
+    # weights of t = 0 attain it as a dual.
+    X = frame_rows(np.random.default_rng(d), d)
+    result = ie.run_projected_ascent(X, k, ie.AscentConfig(T=120))
+    optimum = 1.0 - k / d
+    assert abs(result.best_dual_value - optimum) <= 1e-12
+    assert result.distortion.epsilon >= optimum - 1e-12
+
+
+@pytest.mark.parametrize("d, k", KNOWN_OPTIMA)
+def test_noisy_orthogonal_rows_keep_weak_duality(d, k):
+    X = frame_rows(np.random.default_rng(d), d, noise=0.05)
+    result = ie.run_projected_ascent(X, k, ie.AscentConfig(T=120))
+    assert result.best_dual_value <= result.distortion.epsilon
 
 
 def test_returned_basis_is_feasible():

@@ -19,7 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
-from isoembed import cli, ingest
+from isoembed import cli
+from isoembed import types as types_module
 from isoembed.cli import run_cli
 from isoembed.types import ROW_NORM_TOL
 
@@ -236,6 +237,25 @@ def test_rows_mode_holds_its_rows_once(tmp_path):
     assert np.array_equal(units.X, P / np.linalg.norm(P, axis=1)[:, None])
 
 
+def test_near_unit_rows_are_normalised_alike_by_the_library_and_embed(tmp_path):
+    # Unit rows written with 8 decimals are off unit length by up to about
+    # 1e-8, past ROW_NORM_TOL: UnitVectorSet, normalize_rows, the library's
+    # run and embed renormalise them by one rule, into the same bits.
+    M = np.random.default_rng(5).standard_normal((50, 5))
+    path = tmp_path / "rows.csv"
+    np.savetxt(path, M / np.linalg.norm(M, axis=1)[:, None], fmt="%.8f", delimiter=",")
+    P = np.loadtxt(path, delimiter=",")
+    X = ie.normalize_rows(P).X
+    assert ie.UnitVectorSet(P.copy()).X.tobytes() == X.tobytes()
+    result = ie.run_projected_ascent(P, 2, ie.AscentConfig(T=10))
+    out = tmp_path / "r.json"
+    argv = ["--input", str(path), "--mode", "rows", "--k", "2", "--iters", "10", "--out", str(out)]
+    assert run_cli(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["input_fingerprint"] == result.fingerprint == ie.matrix_fingerprint(X)
+    assert report["epsilon_alg"] == result.distortion.epsilon
+
+
 @st.composite
 def row_files(draw):
     """Rows that are not all unit length, some of extreme norm, as the text
@@ -266,7 +286,8 @@ def test_rows_mode_divides_in_place_bitwise_as_normalize_rows(spec):
     M, text, block_entries = spec
     expected = ie.normalize_rows(M).X
     args = cli.build_parser().parse_args(["--input", "-", "--mode", "rows", "--k", "1"])
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK_ENTRIES", block_entries):
+    patch = mock.patch.object(types_module, "_BLOCK_ENTRIES", block_entries)
+    with tempfile.TemporaryDirectory() as tmp, patch:
         path = Path(tmp) / "rows.csv"
         path.write_text(text)
         X = cli._build_units(args, ie.load_points(path)).X

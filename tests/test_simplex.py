@@ -34,6 +34,17 @@ def test_rejects_nonfinite():
         ie.project_to_simplex(np.array([1.0, np.inf]))
 
 
+@pytest.mark.parametrize(
+    "y, want", [([1.7e308, -1.7e308, 1.0, 0.5], [1.0, 0.0, 0.0, 0.0]), ([1e308, -1e308], [1.0, 0.0])]
+)
+def test_a_finite_input_spread_past_the_float_range_projects(y, want):
+    # Shifted by the largest entry, -1.7e308 overflows to -inf. Unclipped,
+    # the prefix sums turn it into an inf alpha (a NaN weight) or into
+    # overflow and invalid-value warnings, errors under the suite's
+    # filterwarnings.
+    assert same_bits(ie.project_to_simplex(np.array(y)).lam, np.array(want))
+
+
 def test_matches_kkt_oracle():
     rng = np.random.default_rng(42)
     for _ in range(300):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
@@ -428,7 +428,42 @@ def test_normalize_rows_idempotent():
     M = rng.standard_normal((40, 7)) * 5.0
     once = ie.normalize_rows(M).X
     twice = ie.normalize_rows(once).X
-    assert np.abs(once - twice).max() <= 1e-12
+    assert twice.tobytes() == once.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+def test_normalize_rows_refuses_an_empty_matrix_of_either_shape(shape):
+    with pytest.raises(ie.ShapeError, match="must be non-empty"):
+        ie.normalize_rows(np.empty(shape))
+
+
+@st.composite
+def scaled_rows(draw):
+    """Rows of random directions, each scaled near unit length (by at most
+    1e-7, which UnitVectorSet renormalises) or, unless ``near``, anywhere in
+    [1e-3, 1e3]."""
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d),
+                         min_size=1, max_size=12))
+    M = np.array(rows)
+    norms = np.linalg.norm(M, axis=1)
+    assume((norms > 1e-3).all())
+    near = draw(st.booleans())
+    scale = st.floats(1.0 - 1e-7, 1.0 + 1e-7) if near else st.floats(1e-3, 1e3)
+    scales = np.array(draw(st.lists(scale, min_size=len(rows), max_size=len(rows))))
+    return M / norms[:, None] * scales[:, None], near
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_rows())
+def test_unit_vector_set_keeps_normalize_rows_output_bit_for_bit(spec):
+    # One rule for unit rows: UnitVectorSet keeps what normalize_rows
+    # returns, and renormalises the rows it accepts into the same bits.
+    M, near = spec
+    X = ie.normalize_rows(M).X
+    assert ie.UnitVectorSet(X.copy()).X.tobytes() == X.tobytes()
+    if near:
+        assert ie.UnitVectorSet(M).X.tobytes() == X.tobytes()
 
 
 # ---------------------------------------------------------------- pairwise
