@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 
 DEGENERACY_TOL = 1e-8
 
+# A _Support is built and added this many entries at a time.
+_SUPPORT_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class AscentConfig:
@@ -101,20 +104,65 @@ def _worst_distortion(s) -> WorstDistortion:
     return WorstDistortion(epsilon, int(near[np.argmax(1.0 - s[near] == epsilon)]))
 
 
-def _gradient(s):
-    """The dual gradient -s at the squared projections s, written over s."""
-    g = np.negative(s, out=s)
+def _gradient(s, out=None):
+    """The dual gradient -s at the squared projections s, written over s or
+    into out. It is formed as 0 - s, so a zero s gives +0.0: a step then
+    adds a zero weight's +0.0 or nothing to it alike."""
+    g = np.subtract(0.0, s, out=s if out is None else out)
     # ||V'x||^2 <= 1 for unit x; clip fp excess so the Lipschitz bound
     # ||grad||_2 <= sqrt(n) holds literally.
     np.clip(g, -1.0, 0.0, out=g)
     return g
 
 
-def _step(s, lam, eta):
-    """lam + eta * _gradient(s), bit for bit, written over s."""
-    y = _gradient(s)
+@dataclass(frozen=True)
+class _Support:
+    """A length-n weight vector kept by its nonzero entries: their indices,
+    as int32 below 2^31 entries, and values, 12 bytes an entry. Both are
+    built and read _SUPPORT_CHUNK entries at a time, so no temporary is as
+    long as the support."""
+
+    idx: np.ndarray
+    val: np.ndarray
+    n: int
+
+    @classmethod
+    def of(cls, lam):
+        """The support of lam, a nonnegative vector (its positive entries)."""
+        chunks = [lam[i : i + _SUPPORT_CHUNK] for i in range(0, lam.size, _SUPPORT_CHUNK)]
+        # Tested as booleans: np.nonzero is several times slower on floats.
+        size = sum(np.count_nonzero(c > 0.0) for c in chunks)
+        idx = np.empty(size, np.int32 if lam.size <= 2**31 else np.intp)
+        val = np.empty(size)
+        a = 0
+        for i, c in zip(range(0, lam.size, _SUPPORT_CHUNK), chunks):
+            j = np.flatnonzero(c > 0.0)
+            np.add(j, i, out=idx[a : a + j.size], casting="unsafe")
+            np.take(c, j, out=val[a : a + j.size], mode="clip")
+            a += j.size
+        return cls(idx, val, lam.size)
+
+    def add_to(self, y):
+        """y += the weights, bit for bit."""
+        for a in range(0, self.idx.size, _SUPPORT_CHUNK):
+            # As intp: numpy indexes several times slower with int32.
+            y[self.idx[a : a + _SUPPORT_CHUNK].astype(np.intp)] += self.val[a : a + _SUPPORT_CHUNK]
+
+    def dense(self):
+        lam = np.zeros(self.n)
+        lam[self.idx] = self.val
+        return lam
+
+
+def _step(s, lam, eta, out=None):
+    """lam + eta * _gradient(s), bit for bit, written over s or into out.
+    lam is a length-n vector or a _Support."""
+    y = _gradient(s, out)
     y *= eta
-    y += lam
+    if isinstance(lam, _Support):
+        lam.add_to(y)
+    else:
+        y += lam
     return y
 
 
@@ -125,14 +173,22 @@ def primal_distortion(X, V) -> WorstDistortion:
     first index attaining it (0-based). Every phi_i is
     ``np.clip(1 - X.sq_proj(V), 0, None)``. V must have orthonormal
     columns; a raw array is checked by building an OrthonormalBasis from a
-    copy of it.
+    copy of it. The worst is taken block by block as the projection
+    computes them, so no length-n vector is held: a block's epsilon
+    replaces the running one only when it is larger, which keeps the first
+    index attaining the maximum.
     """
     X = as_unit_vector_set(X)
     if not isinstance(V, OrthonormalBasis):
         V = OrthonormalBasis(np.array(V, dtype=np.float64))
     if V.d != X.d:
         raise ShapeError(f"basis has shape {V.V.shape}, expected ({X.d}, k)")
-    return _worst_distortion(X.sq_proj(V.V))
+    worst = WorstDistortion(0.0, 0)
+    for a, s in X._sq_proj_blocks(V.V):
+        block = _worst_distortion(s)
+        if block.epsilon > worst.epsilon:
+            worst = WorstDistortion(block.epsilon, int(a) + block.argmax)
+    return worst
 
 
 def dual_objective(X, w, k: int) -> float:
@@ -178,10 +234,11 @@ def default_step_size(n: int, T: int) -> float:
 @dataclass(frozen=True)
 class _Iterate:
     """An evaluated iterate: its worst distortion epsilon, attained first at
-    argmax, and the dual g(lam) clipped to [0, epsilon]. It holds no
-    length-n vector besides lam."""
+    argmax, and the dual g(lam) clipped to [0, epsilon]. lam is t = 0's
+    zero-stride uniform view, a step's _Support or the average's vector;
+    the iterate holds no other length-n vector."""
 
-    lam: np.ndarray
+    lam: np.ndarray | _Support
     basis: OrthonormalBasis
     epsilon: float
     argmax: int
@@ -192,11 +249,12 @@ class _Iterate:
         return IterationRecord(t, self.dual, self.epsilon, best.epsilon, self.degenerate)
 
 
-def _evaluate(X, M, lam, k):
+def _evaluate(X, M, lam, k, out=None):
     """Eigendecompose M = M(lam) and score its basis: the iterate, and its
-    squared projections s_i = ||V'x_i||^2, which feed the next step."""
+    squared projections s_i = ||V'x_i||^2, written into out (or a new
+    vector), which feed the next step."""
     state = top_k_eigenpairs(M, k)
-    s = X.sq_proj(state.basis.V)
+    s = X.sq_proj(state.basis.V, out)
     worst = _worst_distortion(s)
     # V spans the top-k eigenvectors of M(lam), so exactly
     # g(lam) = sum_i lam_i (1 - s_i) <= max_i (1 - s_i) <= epsilon:
@@ -224,34 +282,41 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
     else:
         eta = float(cfg.step_size)
 
-    # The uniform weights as a zero-stride view: pca holds no length-n buffer.
+    # The uniform weights as a zero-stride view: pca holds no length-n
+    # buffer. From step 1 on, one work vector s holds each step's s, then
+    # its step, then its projection lam, then the next s, written over lam
+    # once M(lam) is built: with lam_sum the loop holds two length-n
+    # vectors. lam is kept by its support, for the next step and as the
+    # best's.
     pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
     best = cur = pca
     trace = [pca.record(0, best)]
-    # Written, not calloc'ed as by np.zeros: the first += would fault each
-    # fresh page twice, once to read the zero page and once to write it.
-    lam_sum = np.full(n, 0.0)
     support = 0  # summed over the steps: the moment kernel reads these rows
-    lam = pca.lam
     for t in range(1, T + 1):
-        # The step, formed in s's buffer and projected in place, becomes lam.
-        lam = _step(s, lam, eta)
-        # The spent lam is freed before the projection unless it is best's:
-        # the loop holds lam, lam_sum and s, three length-n vectors.
-        del s, cur
-        lam = _project_in_place(lam)
+        if t == 1:
+            # Step 1 is formed in a new vector, and t = 0's s is freed
+            # before lam_sum is allocated. That one free of a length-n
+            # vector lets glibc raise its mmap threshold above the steps'
+            # block-sized temporaries, which it otherwise maps afresh at
+            # every step: 53,600 minor faults in place of 1,400 on the
+            # perfbench pairwise-solve input.
+            s = _step(s, cur.lam, eta, out=np.empty(n))
+            # Written, not calloc'ed as by np.zeros: the first += would fault
+            # each fresh page twice, once to read the zero page and once to
+            # write it.
+            lam_sum = np.full(n, 0.0)
+        else:
+            _step(s, cur.lam, eta)
+        del cur  # the spent support is freed unless it is best's
+        lam = _project_in_place(s)
         lam_sum += lam
-        support += np.count_nonzero(lam)
-        cur, s = _evaluate(X, X.moment(lam), lam, k)
+        cur = _evaluate(X, X.moment(lam), _Support.of(lam), k, out=lam)[0]
+        del lam  # s now holds the next s
+        support += cur.lam.idx.size
         if cur.epsilon < best.epsilon:
             best = cur
         trace.append(cur.record(t, best))
-    # s is freed before the average iterate's. The last lam is kept: the
-    # average's evaluation then holds no more vectors than the last step's,
-    # and freeing lam too lets glibc trim the heap that the average's s
-    # then faults back in (about 560 more minor faults on the perfbench
-    # pairwise-solve input).
-    del s
+    del cur
 
     records = list(trace)
     selected = "best"
@@ -261,11 +326,13 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
             "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
             support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
         )
-        avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)[0]
+        # The average's s is written over the last step's.
+        avg = _evaluate(X, X.moment(lam_sum), lam_sum, k, out=s)[0]
         # Average wins ties: the best iterate is kept only on strict improvement.
         if not (best.epsilon < avg.epsilon):
             selected, best = "average", avg
         records.append(avg.record(T, best))
+    del s
 
     n_degen = sum(r.degenerate for r in records)
     if n_degen:
@@ -277,7 +344,9 @@ def run_projected_ascent(X: DirectionSet, k: int, cfg: AscentConfig) -> Embeddin
         distortion=WorstDistortion(best.epsilon, best.argmax),
         trace=trace,
         selected_iterate=selected,
-        lambda_selected=SimplexWeights(best.lam),
+        lambda_selected=SimplexWeights(
+            best.lam.dense() if isinstance(best.lam, _Support) else best.lam
+        ),
         best_dual_value=max(r.dual_value for r in records),
         step_size=eta,
         pca_distortion=WorstDistortion(pca.epsilon, pca.argmax),

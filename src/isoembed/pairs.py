@@ -21,7 +21,8 @@ of h rows, about _BLOCK_ENTRIES entries each: rows a..b-1 are paired only
 with the columns a+1..r-1, so the products skip the lower triangle, about
 half of a dense r x r product's work. ``sq_proj`` computes the block
 [Y, |Y|^2, 1][a:b] [-2Y, 1, |Y|^2][a+1:]' and gathers its upper entries,
-the pairs lo..hi-1 of rows a..b-1. ``moment`` scatters w / D of those
+the pairs lo..hi-1 of rows a..b-1, a run of rows of at most
+_GATHER_ENTRIES pairs at a time. ``moment`` scatters w / D of those
 pairs into the block C[a:b, a+1:], adds its row and column sums to deg
 and writes the rows a..b-1 of C P_c. One h x (r - 1) triangular template,
 sliced per block, does the gather and the scatter. A call's working set
@@ -51,6 +52,10 @@ import numpy as np
 from .errors import CoincidentPairError, ContractError, ShapeError
 from .types import _BLOCK_ENTRIES, _TINY, DirectionSet, PointSet, _freeze, row_moment, row_sq_proj
 
+# sq_proj gathers the upper entries of a block of rows this many at a time,
+# at most: 256 KB of float64.
+_GATHER_ENTRIES = 1 << 15
+
 # kappa above this sends a pair to the exact route. On the perfbench inputs
 # the largest kappa is 19, so none of their pairs takes it.
 KAPPA_LIMIT = 32.0
@@ -59,13 +64,13 @@ logger = logging.getLogger(__name__)
 
 
 def _point_blocks(P):
-    """(i, a, diffs, norms) for each point i < r - 1: its differences
-    p_i - p_j to the later points j > i, their norms (np.linalg.norm), and
-    the row a of pair (i, i + 1) in row-major order."""
+    """(i, a, diffs) for each point i < r - 1: its differences p_i - p_j to
+    the later points j > i, and the row a of pair (i, i + 1) in row-major
+    order."""
     a = 0
     for i in range(P.shape[0] - 1):
         diffs = P[i] - P[i + 1 :]
-        yield i, a, diffs, np.linalg.norm(diffs, axis=1)
+        yield i, a, diffs
         a += diffs.shape[0]
 
 
@@ -104,7 +109,8 @@ class PairDifferenceSet(DirectionSet):
             e = np.frexp(np.abs(P).max())[1]
             centred = P - np.ldexp(np.ldexp(P, -e).mean(axis=0), e)
             reach = np.linalg.norm(centred, axis=1)
-            for i, a, diffs, norms in _point_blocks(P):
+            for i, a, diffs in _point_blocks(P):
+                norms = np.linalg.norm(diffs, axis=1)
                 sq = np.square(norms, out=D[a : a + norms.size])
                 j = int(np.argmax(sq))  # the first inf, if any: the points are finite
                 if sq[j] == np.inf:
@@ -149,8 +155,19 @@ class PairDifferenceSet(DirectionSet):
         return self.points.d
 
     def _unit_blocks(self):
-        for _, _, diffs, norms in _point_blocks(self.points.points):
-            yield np.divide(diffs, norms[:, None], out=diffs)
+        """Each point's differences divided by the square roots of their
+        stored squared lengths. sqrt(fl(x^2)) is x for every normal x whose
+        square does not overflow, so the rows are those divided by their
+        np.linalg.norm. The exact-route rows (D_ij = inf) are the stored
+        ones."""
+        labels = self._labels
+        for _, a, diffs in _point_blocks(self.points.points):
+            b = a + diffs.shape[0]
+            np.divide(diffs, np.sqrt(self._sq[a:b])[:, None], out=diffs)
+            if labels.size:
+                lo, hi = np.searchsorted(labels, (a, b))
+                diffs[labels[lo:hi] - a] = self._exact[lo:hi]
+            yield diffs
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -202,26 +219,45 @@ class PairDifferenceSet(DirectionSet):
             M += row_moment(self._exact, w[self._labels])
         return M
 
-    def sq_proj(self, V) -> np.ndarray:
+    def sq_proj(self, V, out=None) -> np.ndarray:
+        s = np.empty(self.n) if out is None else out
+        for _ in self._sq_proj_blocks(V, s):
+            pass
+        return s
+
+    def _sq_proj_blocks(self, V, out=None):
+        """(lo, s[lo:hi]) for each run of rows of a block of the triangle
+        whose pairs, lo..hi-1 in row-major order, are at most
+        _GATHER_ENTRIES: written into out[lo:hi], or over the gathered
+        entries when out is None."""
         Y = self._centred @ V
         q = np.einsum("ij,ij->i", Y, Y)[:, None]
         one = np.ones_like(q)
         L = np.hstack([Y, q, one])
         R = np.hstack([-2.0 * Y, one, q]).T
-        s = np.empty(self.n)
+        labels = self._labels
+        exact = row_sq_proj(self._exact, V) if labels.size else None
         buf = np.empty(self._template.size)
         # Only exact-route pairs (D_ij = inf) can overflow or give inf - inf
         # here, and their entries are replaced below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, pairs, T in self._row_blocks():
+        ignore = dict(over="ignore", invalid="ignore")
+        for a, b, pairs, T in self._row_blocks():
+            with np.errstate(**ignore):
                 G = np.matmul(L[a:b], R[:, a + 1 :], out=buf[: T.size].reshape(T.shape))
-                g = G[T]
-                np.maximum(g, 0.0, out=g)
-                np.divide(g, self._sq[pairs], out=s[pairs])
-                del g  # freed before the next block's gather
-        if self._labels.size:
-            s[self._labels] = row_sq_proj(self._exact, V)
-        return s
+            h = max(1, _GATHER_ENTRIES // T.shape[1])
+            lo = pairs.start
+            for i in range(0, b - a, h):
+                with np.errstate(**ignore):
+                    g = G[i : i + h][T[i : i + h]]
+                    np.maximum(g, 0.0, out=g)
+                    hi = lo + g.size
+                    s = np.divide(g, self._sq[lo:hi], out=g if out is None else out[lo:hi])
+                del g  # freed before the next gather
+                if exact is not None:
+                    e, f = np.searchsorted(labels, (lo, hi))
+                    s[labels[e:f] - lo] = exact[e:f]
+                yield lo, s
+                lo = hi
 
     def rows(self, idx) -> np.ndarray:
         """The directions of the given row indices, as a new dense array."""

@@ -10,27 +10,42 @@ so those entries are outside the support and still project to 0, and a
 finite input whose spread exceeds the float range, such as [1.7e308,
 -1.7e308, 1.0], projects without overflow.
 
-Only a candidate set is sorted. Michelot's iteration (J. Optim. Theory
-Appl. 1986; Condat, Math. Program. 2016) keeps the entries above
-tau = (sum(c) - 1)/|c| and repeats; in exact arithmetic tau rises to the
-threshold from below, so every kept set holds the support. The input of the
-last round that removed an entry holds the support and at least one entry
-outside it. It is the top of the vector, so its descending sort and prefix
-sums are bitwise the first entries of the full sort's, and a prefix length
-rho that stops short of its last entry is the full sort's rho. When rho
-reaches the last candidate, every entry is sorted instead. The output is
-bitwise that of sorting every entry.
+Only a candidate set is sorted. The projection is max(z - tau*, 0) for the
+threshold tau*, and every set c of entries gives a lower bound
+tau_c = (sum(c) - 1)/|c| <= tau*, since sum_c (z_i - tau*) <= 1. The
+entries above a threshold t <= tau_c therefore hold the support.
+Michelot's iteration (J. Optim. Theory Appl. 1986; Condat, Math. Program.
+2016) keeps the entries above tau_c and repeats; tau_c rises to tau*. The
+input of the last round that removed an entry holds the support and at
+least one entry outside it. It is the top of the vector, so its descending
+sort and prefix sums are bitwise the first entries of the full sort's, and
+a prefix length rho that stops short of its last entry is the full sort's
+rho. When rho reaches the last candidate, every entry is sorted instead.
+The output is bitwise that of sorting every entry.
+
+The rounds start near tau*, not at the mean of every entry, and run on a
+copy, so no round reads or writes a vector as long as the input. t is the
+threshold that puts mass _SAMPLE_MASS / _SAMPLE_STRIDE above it on every
+_SAMPLE_STRIDE-th entry, so about _SAMPLE_MASS in all, a little more than
+the support's 1. The entries above t are copied out once, _CHUNK_ENTRIES
+at a time: on the perfbench inputs they are 1.02-1.10 times the support,
+and the first round on them usually ends the rounds. A t above tau_c may
+have cut off part of the support, so the entries above tau_c are copied
+out again. A first round that removes nothing has the support itself as
+its input (every entry outside it is at most t <= tau_c), and the largest
+entry outside it is added, with its ties. Michelot's rounds from every
+entry, which earlier versions ran, read the whole input three to six
+times and compacted its top half into a new vector.
 
 The rounds stop once one removes less than MIN_ROUND_SHRINK of its input.
 Each earlier round shrank the set by at least that share, so the rounds
-scan at most about n / MIN_ROUND_SHRINK entries in all, and an input whose
-rounds each remove a little costs about one full sort.
+scan at most about |c| / MIN_ROUND_SHRINK entries in all, and an input whose
+rounds each remove a little costs about one sort of the copy.
 
-A round compacts its kept entries into one new vector, _CHUNK_ENTRIES input
-entries at a time. np.compress forms an index array as long as its output,
-even with ``out=``, so over the whole input it would add a second vector of
-the kept size; in chunks the index is at most one chunk's, and each chunk's
-entries are taken straight into their place in the output.
+The copy is sorted in place, and its prefix sums and test run on
+_PREFIX_ENTRIES entries at a time, each chunk's running sum seeded with
+the last chunk's, so they are bitwise one cumsum over the copy. Only the
+fall-back to every entry makes a temporary as long as the input.
 """
 
 from __future__ import annotations
@@ -43,38 +58,105 @@ from .types import SIMPLEX_TOL, SimplexWeights, weights_vector
 # is the last (module docstring).
 MIN_ROUND_SHRINK = 0.1
 
-# A round compacts its kept entries this many input entries at a time
+# The candidates are copied out of the input this many entries at a time
 # (module docstring): 512 KB of float64.
 _CHUNK_ENTRIES = 1 << 16
 
+# The start threshold is read from every _SAMPLE_STRIDE-th entry, set so
+# that about _SAMPLE_MASS of mass lies above it (module docstring).
+_SAMPLE_STRIDE = 32
+_SAMPLE_MASS = 1.1
 
-def _compress(above: np.ndarray, c: np.ndarray, kept: int) -> np.ndarray:
-    """np.compress(above, c), kept entries long, built chunk by chunk."""
-    out = np.empty(kept)
+# The prefix test runs on this many sorted candidates at a time: three
+# buffers of 128 KB.
+_PREFIX_ENTRIES = 1 << 14
+
+
+def _chunks(z):
+    return (z[i : i + _CHUNK_ENTRIES] for i in range(0, z.size, _CHUNK_ENTRIES))
+
+
+def _above(z, t) -> np.ndarray:
+    """The entries of z above t, in order, as a new vector built chunk by
+    chunk: np.compress over the whole of z would form an index array as
+    long as its output."""
+    out = np.empty(sum(np.count_nonzero(c > t) for c in _chunks(z)))
     a = 0
-    for i in range(0, c.size, _CHUNK_ENTRIES):
-        j = np.flatnonzero(above[i : i + _CHUNK_ENTRIES])
+    for c in _chunks(z):
+        j = np.flatnonzero(c > t)
         # The indices are in range; "clip" skips the check and, unlike
         # "raise", writes to out without an intermediate buffer.
-        np.take(c[i : i + _CHUNK_ENTRIES], j, out=out[a : a + j.size], mode="clip")
+        np.take(c, j, out=out[a : a + j.size], mode="clip")
         a += j.size
     return out
 
 
+def _start_threshold(z) -> float:
+    """The threshold of projecting every _SAMPLE_STRIDE-th entry of z onto
+    the simplex scaled to _SAMPLE_MASS / _SAMPLE_STRIDE: max_j (sum of the
+    j largest - mass) / j."""
+    u = np.sort(z[::_SAMPLE_STRIDE])[::-1]
+    css = np.cumsum(u)
+    css -= _SAMPLE_MASS / _SAMPLE_STRIDE
+    css /= np.arange(1, u.size + 1)
+    return float(css.max())
+
+
 def _support_superset(z: np.ndarray) -> np.ndarray:
-    """The top entries of z that hold the projection's support and, unless
-    they are all of z, at least one entry more: the input of the last
-    candidate round that removed an entry."""
-    cand = c = z
+    """A new vector of the top entries of z that hold the projection's
+    support and, unless they are all of z, at least one entry more
+    (module docstring)."""
+    t = _start_threshold(z)
     while True:
-        above = c > (c.sum() - 1.0) / c.size
-        kept = np.count_nonzero(above)
+        c = _above(z, t)
+        tau = (c.sum() - 1.0) / c.size
+        if t <= tau:
+            break
+        t = tau  # a lower bound of the threshold: c grows, to the support
+    cand = None
+    while True:
+        kept = np.count_nonzero(c > tau)
         if kept == c.size:
-            return cand
+            break
         if kept > (1.0 - MIN_ROUND_SHRINK) * c.size:
             return c
-        cand = c  # the previous round's input is freed before the compaction
-        c = _compress(above, c, kept)
+        cand, c = c, _above(c, tau)
+        tau = (c.sum() - 1.0) / c.size
+    if cand is not None:
+        return cand
+    if c.size == z.size:
+        return c
+    # c is the support and every other entry is at most t: add the largest
+    # of them, and its ties, which keeps the copy the top of z.
+    below = max(np.max(b, where=b <= t, initial=-np.inf) for b in _chunks(z))
+    return _above(z, np.nextafter(below, -np.inf))
+
+
+def _prefix_test(u: np.ndarray) -> tuple[int, float]:
+    """rho and the sum of the rho largest entries for u sorted ascending:
+    rho is the last j (1-based, in descending order) with
+    y_(j) + (1 - sum_{i<=j} y_(i))/j > 0."""
+    h = min(u.size, _PREFIX_ENTRIES)
+    css, test = np.empty(h), np.empty(h)
+    j = np.arange(1.0, h + 1.0)
+    rho, top, total = 0, 0.0, 0.0
+    for hi in range(u.size, 0, -h):
+        v = u[max(hi - h, 0) : hi][::-1]
+        m = v.size
+        s = css[:m]
+        s[...] = v
+        s[0] += total  # seeded: the chunks' sums are one cumsum's
+        np.cumsum(s, out=s)
+        total = s[-1]
+        # The test u_j + (1 - css_j) / j in one buffer.
+        w = np.subtract(1.0, s, out=test[:m])
+        w /= j[:m]
+        w += v
+        passed = np.flatnonzero(w > 0.0)
+        if passed.size:
+            rho, top = int(j[passed[-1]]), float(s[passed[-1]])
+        j += h
+    return rho, top
 
 
 def project_to_simplex(y) -> SimplexWeights:
@@ -106,21 +188,18 @@ def _project_in_place(z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z -= z.max()
     np.maximum(z, -2.0, out=z)
-    for c in (_support_superset(z), z):
-        u = np.sort(c)[::-1]
-        css = np.cumsum(u)
-        # The test u_j + (1 - css_j) / j in one buffer; rho is the last j
-        # that passes it.
-        test = np.subtract(1.0, css)
-        test /= np.arange(1, c.size + 1)
-        test += u
-        # j = 1 always qualifies (u_1 + 1 - u_1 = 1 > 0), so rho >= 1.
-        rho = c.size - int(np.argmax(test[::-1] > 0.0))
-        # rho below the candidate count is rho of the full sort.
-        if rho < c.size or c.size == z.size:
-            break
-    alpha = (1.0 - css[rho - 1]) / rho
-    z += alpha
+    c = _support_superset(z)
+    c.sort()
+    rho, top = _prefix_test(c)
+    # j = 1 always qualifies (u_1 + 1 - u_1 = 1 > 0), so rho >= 1. rho
+    # below the candidate count is rho of the full sort.
+    if rho == c.size < z.size:
+        del c
+        c = z.copy()
+        c.sort()
+        rho, top = _prefix_test(c)
+    del c
+    z += (1.0 - top) / rho
     return np.maximum(z, 0.0, out=z)
 
 

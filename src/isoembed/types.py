@@ -109,16 +109,27 @@ def row_moment(Xm, w) -> np.ndarray:
     return np.zeros((d, d)) if M is None else M
 
 
-def row_sq_proj(Xm, V) -> np.ndarray:
-    """s_i = ||V'x_i||^2 over the rows of Xm, in blocks of rows of at most
-    _ROW_BLOCK_ENTRIES entries: each block's Xm @ V and the row sums of its
-    squares, written into s. A call's working set is one block's product."""
+def _row_sq_proj_blocks(Xm, V, out=None):
+    """(a, s[a:a + h]) for each block of h rows of Xm, of at most
+    _ROW_BLOCK_ENTRIES entries: s_i = ||V'x_i||^2 as the row sums of the
+    squares of the block's Xm @ V, written into out[a:a + h], or into a new
+    vector when out is None."""
     h = max(1, _ROW_BLOCK_ENTRIES // Xm.shape[1])
-    s = np.empty(Xm.shape[0])
     for a in range(0, Xm.shape[0], h):
         Y = Xm[a : a + h] @ V
-        np.einsum("ij,ij->i", Y, Y, out=s[a : a + h])
+        s = np.einsum("ij,ij->i", Y, Y, out=None if out is None else out[a : a + h])
         del Y  # freed before the next block's product
+        yield a, s
+
+
+def row_sq_proj(Xm, V, out=None) -> np.ndarray:
+    """s_i = ||V'x_i||^2 over the rows of Xm, block by block
+    (_row_sq_proj_blocks), written into out, a float64 vector of one entry
+    per row, or into a new vector, and returned. A call's working set is
+    one block's product."""
+    s = np.empty(Xm.shape[0]) if out is None else out
+    for _ in _row_sq_proj_blocks(Xm, V, s):
+        pass
     return s
 
 
@@ -202,7 +213,8 @@ class PointSet:
 class DirectionSet(ABC):
     """n unit directions x_1..x_n in R^d, as the solver and the bounds read
     them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)`` and
-    ``sq_proj(V)``. ``UnitVectorSet`` holds the rows;
+    ``sq_proj(V)``, which ``primal_distortion`` reads block by block
+    (``_sq_proj_blocks``). ``UnitVectorSet`` holds the rows;
     ``pairs.PairDifferenceSet`` holds the points whose normalised
     differences they are. The methods check nothing: callers check their
     arguments once, at the API boundary.
@@ -233,8 +245,15 @@ class DirectionSet(ABC):
         view."""
 
     @abstractmethod
-    def sq_proj(self, V) -> np.ndarray:
-        """s_i = ||V'x_i||^2 for a d x k array V, as a new length-n vector."""
+    def sq_proj(self, V, out=None) -> np.ndarray:
+        """s_i = ||V'x_i||^2 for a d x k array V, written into out, a
+        writable length-n float64 vector, or into a new one, and returned."""
+
+    def _sq_proj_blocks(self, V):
+        """(a, s[a:b]) for consecutive blocks of s = sq_proj(V), each a
+        vector the next block may reuse or overwrite. The sets of this
+        package compute them block by block; this default yields s whole."""
+        yield 0, self.sq_proj(V)
 
     def fingerprint(self) -> str:
         """matrix_fingerprint of the n x d matrix of the directions."""
@@ -288,8 +307,11 @@ class UnitVectorSet(DirectionSet):
     def moment(self, w) -> np.ndarray:
         return row_moment(self.X, w)
 
-    def sq_proj(self, V) -> np.ndarray:
-        return row_sq_proj(self.X, V)
+    def sq_proj(self, V, out=None) -> np.ndarray:
+        return row_sq_proj(self.X, V, out)
+
+    def _sq_proj_blocks(self, V):
+        return _row_sq_proj_blocks(self.X, V)
 
 
 @dataclass(frozen=True)

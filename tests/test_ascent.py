@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import isoembed as ie
 from isoembed import ascent
+from isoembed import pairs as pairs_module
+from isoembed import types as types_module
 from oracles import clustered_rows, fd_dual_gradient, frame_rows, random_simplex_point, unit_rows
 
 
@@ -112,6 +114,63 @@ def test_primal_distortion_rejects_non_orthonormal():
         ie.primal_distortion(np.eye(2), np.array([[1.0], [1.0]]))
     with pytest.raises(ie.ShapeError):
         ie.primal_distortion(np.eye(2), np.eye(3))
+
+
+def _dense_worst(X, V):
+    phi = np.clip(1.0 - X.sq_proj(V), 0.0, None)
+    return phi.max(), int(np.argmax(phi))
+
+
+@pytest.mark.parametrize("height", [1, 2, 4])
+def test_primal_distortion_keeps_the_first_worst_row_across_blocks(monkeypatch, height):
+    # phi = 0, 0.5, 0, 1, 1, 1 on e1 rows: the first 1 ends a block of two
+    # or four rows and ties with the first row of the next.
+    monkeypatch.setattr(types_module, "_ROW_BLOCK_ENTRIES", height * 3)
+    c = math.sqrt(0.5)
+    e1, e2, e3 = np.eye(3)
+    X = ie.UnitVectorSet(np.array([e1, [c, c, 0.0], e1, e3, e2, e3]))
+    got = ie.primal_distortion(X, np.eye(3)[:, :1])
+    assert (got.epsilon, got.argmax) == (1.0, 3) == _dense_worst(X, np.eye(3)[:, :1])
+    # Every row in the span: phi is exactly 0 in every block.
+    got = ie.primal_distortion(ie.UnitVectorSet(np.array([e1, e2, e1, e2, e2])), np.eye(3)[:, :2])
+    assert (got.epsilon, got.argmax) == (0.0, 0)
+
+
+@pytest.mark.parametrize("height, gather", [(1, 1), (2, 1), (3, 16), (8, 1 << 15)])
+def test_primal_distortion_keeps_the_first_worst_pair_across_blocks(monkeypatch, height, gather):
+    # Integer points with mean 0, scored on e1: every Gram entry is exact,
+    # and the pairs of the three points with x = 0, (3, 4), (3, 9) and
+    # (4, 9) 1-based, rows 15, 20 and 25, are crushed to exactly phi = 1.
+    # In one-row blocks, or gathers of one row, they span two of them.
+    monkeypatch.setattr(pairs_module, "_BLOCK_ENTRIES", height * 8)
+    monkeypatch.setattr(pairs_module, "_GATHER_ENTRIES", gather)
+    P = [[-2, -1], [2, 1], [0, -3], [0, 3], [-1, 0], [1, 0], [-3, 2], [3, -2], [0, 0]]
+    pairs = ie.pairwise_unit_differences(ie.PointSet(np.array(P, dtype=float)))
+    V = np.eye(2)[:, :1]
+    got = ie.primal_distortion(pairs, V)
+    assert (got.epsilon, got.argmax) == (1.0, 15) == _dense_worst(pairs, V)
+    # Points on the x axis: every pair is e1 itself, phi exactly 0.
+    on_axis = np.array([[-3, 0], [-1, 0], [0, 0], [1, 0], [3, 0.0]])
+    line = ie.pairwise_unit_differences(ie.PointSet(on_axis))
+    got = ie.primal_distortion(line, V)
+    assert (got.epsilon, got.argmax) == (0.0, 0) == _dense_worst(line, V)
+
+
+def test_primal_distortion_holds_no_length_n_vector():
+    rng = np.random.default_rng(12)
+    P = 3.0 * rng.standard_normal((1000, 6))
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
+    V = ie.random_orthonormal_basis(6, 2, seed=0).V
+    tracemalloc.start()
+    try:
+        got = ie.primal_distortion(pairs, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.epsilon, got.argmax) == _dense_worst(pairs, V)
+    # One 2^16-entry block and one 2^15-entry gather: 0.28 of 8n at 499,500
+    # pairs, where s alone is 1.
+    assert peak <= 0.35 * 8 * pairs.n
 
 
 # ---------------------------------------------------------------- step size
@@ -309,7 +368,9 @@ def test_one_projection_product_per_evaluated_iterate(monkeypatch):
     calls = []
     for cls in (ie.UnitVectorSet, ie.PairDifferenceSet):
         monkeypatch.setattr(
-            cls, "sq_proj", lambda X, V, real=cls.sq_proj: calls.append(1) or real(X, V)
+            cls,
+            "sq_proj",
+            lambda X, V, out=None, real=cls.sq_proj: calls.append(1) or real(X, V, out),
         )
     rng = np.random.default_rng(45)
     T = 7
@@ -353,26 +414,58 @@ def test_memory_per_row():
     assert peak <= 0.26 * X.X.nbytes
 
 
-def test_a_pairwise_solve_holds_three_length_n_vectors():
+def _solve_peak(P, k):
+    """The tracemalloc peak of a T = 3 solve on the pairs of P, in units of
+    8n bytes, and the run."""
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
+    tracemalloc.start()
+    try:
+        res = ie.run_projected_ascent(pairs, k, ie.AscentConfig(T=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * pairs.n), res
+
+
+# A pairwise solve holds its work buffer and the running sum, two length-n
+# vectors, and each kept lambda by its support, 12 bytes an entry. The
+# kernels' blocks of 2^16 entries and gathers of 2^15 are about a quarter
+# of a vector more at 499,500 pairs.
+PAIRWISE_SOLVE_PEAK = 2.7
+
+
+def test_a_pairwise_solve_holds_two_length_n_vectors():
     # 1,000 points in 20 anisotropic clusters: 499,500 pairs, whose length-n
     # vectors (4 MB each) outweigh the kernels' 2^16-entry block buffers.
     rng = np.random.default_rng(1)
     centres = 3.0 * np.random.default_rng(7).standard_normal((20, 10))
     P = centres[rng.integers(0, 20, 1000)] + rng.standard_normal((1000, 10)) * 0.9 ** np.arange(10)
-    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
-    tracemalloc.start()
-    try:
-        res = ie.run_projected_ascent(pairs, 3, ie.AscentConfig(T=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, res = _solve_peak(P, 3)
     # No step beats t = 0, whose weights are a zero-stride view, so no
     # spent lambda is kept as the best's.
     assert all(r.best_epsilon == res.trace[0].primal_epsilon for r in res.trace)
-    # A step holds lambda, the running sum and s: 3.31 vectors here. A loop
-    # that keeps the spent lambda through the projection, forms the step in
-    # a new vector and compacts each round with one np.compress peaks at 4.28.
-    assert peak <= 3.75 * 8 * pairs.n
+    # The loop peaks at 2.37 vectors here. A loop that holds lambda, the
+    # running sum and s dense peaks at 3.31, and one that also keeps the
+    # spent lambda through the projection, forms the step in a new vector
+    # and compacts each round with one np.compress at 4.28.
+    assert peak <= PAIRWISE_SOLVE_PEAK
+
+
+def test_a_pairwise_solve_whose_best_is_a_spent_step_holds_two_length_n_vectors():
+    # 1,000 clustered points in CI's layout, 499,500 pairs: steps 1 and 2
+    # each improve on the best, so the best's lambda is held while steps 2
+    # and 3 run.
+    rng = np.random.default_rng(12)
+    centres = 3.0 * rng.standard_normal((8, 6))
+    P = centres[rng.integers(0, 8, 1000)] + 0.3 * rng.standard_normal((1000, 6))
+    peak, res = _solve_peak(P, 2)
+    eps = [r.primal_epsilon for r in res.trace]
+    assert eps[1] < eps[0] and eps[2] < eps[1] and eps[3] > eps[2]
+    assert res.selected_iterate == "best" and res.distortion.epsilon == eps[2]
+    # 2.63 vectors here: the best's support and the current step's, each
+    # about 21% of n, while the next s is computed. A loop that keeps the
+    # best's lambda dense peaks at 4.30.
+    assert peak <= PAIRWISE_SOLVE_PEAK
 
 
 @st.composite
@@ -405,6 +498,24 @@ def test_the_step_in_s_is_bitwise_lam_plus_eta_times_the_gradient(step):
     got = ascent._step(buf, lam, eta)
     assert got is buf
     assert got.tobytes() == want.tobytes()
+    # A dense lambda kept by its support adds the same bits: where lambda is
+    # zero, the gradient's zero is +0.0 as lam + 0.0 is.
+    if lam.strides != (0,):
+        got = ascent._step(s.copy(), ascent._Support.of(lam), eta)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_a_support_gives_back_its_vector(values):
+    lam = np.array(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ascent, "_SUPPORT_CHUNK", 3)  # chunks of three entries
+        kept = ascent._Support.of(lam)
+        y = np.zeros(lam.size)
+        kept.add_to(y)
+    assert kept.idx.dtype == np.int32 and kept.idx.size == np.count_nonzero(lam)
+    assert kept.dense().tobytes() == lam.tobytes() == y.tobytes()
 
 
 @st.composite

@@ -148,6 +148,33 @@ def test_fingerprint_and_rows_are_those_of_the_dense_build():
     assert pairs.rows(idx).tobytes() == want[idx].tobytes()
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=float(np.sqrt(np.finfo(float).tiny)), max_value=1.3e154))
+@example(float(np.sqrt(np.finfo(float).tiny)))
+@example(1.3e154)
+@example(1.0 - 2.0**-53)
+def test_a_stored_squared_length_gives_back_the_norm(x):
+    # The fingerprint divides each difference by sqrt(D_ij), D_ij = fl(x^2)
+    # for its np.linalg.norm x: every stored D_ij is normal and finite.
+    assume(np.finfo(float).tiny <= x * x < np.inf)
+    assert np.sqrt(np.square(x)) == x
+
+
+def test_exact_route_rows_are_those_of_the_dense_build():
+    # Points 4 and 13 (1-based) sit 1e-9 from points 3 and 12: their pairs
+    # take the exact route, and the fingerprint takes their stored rows.
+    rng = np.random.default_rng(25)
+    P = rng.standard_normal((17, 4))
+    P[3] = P[2] + 1e-9 * rng.standard_normal(4)
+    P[12] = P[11] + 1e-9 * rng.standard_normal(4)
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
+    assert pairs._labels.size == 2
+    i, j = np.triu_indices(17, 1)
+    want = (P[i] - P[j]) / np.linalg.norm(P[i] - P[j], axis=1)[:, None]
+    assert pairs.X.tobytes() == want.tobytes()
+    assert pairs.fingerprint() == ie.matrix_fingerprint(want)
+
+
 def test_errors_name_the_pair_or_row_at_fault():
     # A difference whose square underflows is a coincident pair.
     P = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 1e-170], [3.0, 0.0]])
@@ -333,6 +360,7 @@ def test_memory_per_pair():
         tracemalloc.stop()
     assert res.fingerprint == pairs.fingerprint()
     assert build_peak <= 32 * n  # the dense build needs 8 d = 320 B/pair
-    # The run peaks at 64.7 B/pair; the bound leaves room for two more
-    # length-n float vectors.
-    assert run_peak <= 81 * n
+    # The run peaks at 52.4 B/pair (the pair set's 8 B/pair, the loop's two
+    # length-n vectors and a block of the kernels, 11.7 B/pair at this n);
+    # the bound leaves room for one more length-n float vector.
+    assert run_peak <= 61 * n

@@ -118,8 +118,9 @@ def test_every_step_of_a_pairwise_run_matches_the_full_sort(monkeypatch):
 
     def recording(y):
         ys.append(y.copy())
-        lams.append(real(y))
-        return lams[-1]
+        lam = real(y)
+        lams.append(lam.copy())  # the run writes its next s over lam
+        return lam
 
     monkeypatch.setattr(ascent, "_project_in_place", recording)
     ie.run_projected_ascent(units, 2, ie.AscentConfig(T=30))
@@ -133,14 +134,27 @@ def test_every_step_of_a_pairwise_run_matches_the_full_sort(monkeypatch):
 
 def test_candidate_rounds_stop_at_the_round_limit(monkeypatch):
     # Each Michelot round drops about 2% of these entries: without the limit
-    # the rounds would run 136 times, past the bound below.
+    # the rounds would run 136 times, past the bound below. From a start
+    # below every entry, the rounds are Michelot's from the whole vector.
     n = 20_000
     y = -np.exp(np.arange(n) * 700.0 / n)
-    rounds = []  # (input size, entries kept) of each round
-    real = np.count_nonzero
-    monkeypatch.setattr(np, "count_nonzero", lambda a: rounds.append((a.size, real(a))) or real(a))
-    simplex._support_superset(y - y.max())
+    z = y - y.max()
+    copies = []  # (input size, entries kept) of each copy
+    real = simplex._above
+
+    def recording(c, t):
+        out = real(c, t)
+        copies.append((c.size, out.size))
+        return out
+
+    monkeypatch.setattr(simplex, "_above", recording)
+    monkeypatch.setattr(simplex, "_start_threshold", lambda z: -np.inf)
+    c = simplex._support_superset(z)
     monkeypatch.undo()
+    assert copies[0] == (n, n)  # the start keeps every entry
+    # The rounds that removed enough to be copied, then the last, which
+    # returned its input.
+    rounds = copies[1:] + [(c.size, np.count_nonzero(c > (c.sum() - 1.0) / c.size))]
     shrink = [1.0 - kept / size for size, kept in rounds]
     assert all(s >= simplex.MIN_ROUND_SHRINK for s in shrink[:-1])
     assert 0.0 < shrink[-1] < simplex.MIN_ROUND_SHRINK
@@ -150,22 +164,34 @@ def test_candidate_rounds_stop_at_the_round_limit(monkeypatch):
 
 
 def whole_round_superset(z):
-    """_support_superset with one np.compress over each round's input."""
-    cand = c = z
+    """_support_superset with one np.compress over each copy's input."""
+    t = simplex._start_threshold(z)
     while True:
-        above = c > (c.sum() - 1.0) / c.size
+        c = np.compress(z > t, z)
+        tau = (c.sum() - 1.0) / c.size
+        if t <= tau:
+            break
+        t = tau
+    cand = None
+    while True:
+        above = c > tau
         kept = np.count_nonzero(above)
         if kept == c.size:
-            return cand
+            break
         if kept > (1.0 - simplex.MIN_ROUND_SHRINK) * c.size:
             return c
         cand, c = c, np.compress(above, c)
+        tau = (c.sum() - 1.0) / c.size
+    if cand is not None:
+        return cand
+    return np.compress(z >= z[z <= t].max(initial=-np.inf), z)
 
 
 def check_chunked_rounds(y, chunk):
     z = y - y.max()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_CHUNK_ENTRIES", chunk)
+        mp.setattr(simplex, "_PREFIX_ENTRIES", chunk)
         got = simplex._support_superset(z)
         lam = ie.project_to_simplex(y).lam
     assert same_bits(got, whole_round_superset(z))
@@ -175,14 +201,46 @@ def check_chunked_rounds(y, chunk):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3000), st.floats(1e-4, 10.0), st.integers(1, 7))
 def test_rounds_compacted_in_chunks_keep_the_bits_of_whole_rounds(seed, n, scale, chunk):
-    # Chunks of a few entries: every round with more input entries crosses
-    # chunk edges, and most end inside a chunk.
+    # Chunks of a few entries: every copy and prefix test with more entries
+    # crosses chunk edges, and most end inside a chunk.
     check_chunked_rounds(np.random.default_rng(seed).normal(0.0, scale, n), chunk)
 
 
 def test_many_rounds_compacted_in_chunks_keep_the_bits_of_whole_rounds():
-    # Eight rounds, from 20,000 entries down to 257, over chunks of 7 entries.
+    # Copies and prefix sums over chunks of 7 entries.
     check_chunked_rounds(np.random.default_rng(13).normal(0.0, 0.01, 20_000), 7)
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_a_start_above_the_threshold_is_lowered(monkeypatch, chunk):
+    # A start just below the largest entry copies out too few entries; their
+    # lower bound tau_c is the next start, and its copy holds the support.
+    y = np.random.default_rng(14).normal(0.0, 0.01, 2000)
+    monkeypatch.setattr(simplex, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(simplex, "_start_threshold", lambda z: -1e-300)
+    starts = []
+    real = simplex._above
+    monkeypatch.setattr(simplex, "_above", lambda c, t: starts.append(t) or real(c, t))
+    assert same_bits(ie.project_to_simplex(y).lam, sort_simplex_projection(y))
+    assert starts[0] == -1e-300 and starts[1] < starts[0]
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_a_start_that_copies_the_support_adds_the_next_entry(monkeypatch, chunk):
+    # A start between the support and the largest entry outside it copies
+    # out the support alone, which the first round keeps whole; the next
+    # entry is added with its ties, three more.
+    y = np.random.default_rng(15).normal(0.0, 0.01, 2000)
+    want = sort_simplex_projection(y)
+    outside = np.flatnonzero(want == 0.0)
+    y[outside[np.argsort(y[outside])[:3]]] = y[outside].max()
+    z = y - y.max()
+    monkeypatch.setattr(simplex, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(simplex, "_start_threshold", lambda z: z[want == 0.0].max())
+    got = simplex._support_superset(z)
+    assert same_bits(np.sort(got), np.sort(z[z >= z[want == 0.0].max()]))
+    assert got.size == np.count_nonzero(want) + 4
+    assert same_bits(ie.project_to_simplex(y).lam, want)
 
 
 def test_output_feasible_and_idempotent():
