@@ -13,6 +13,7 @@ from .ascent import (
     default_step_size,
     dual_gradient,
     dual_objective,
+    entropic_step_size,
     primal_distortion,
     run_projected_ascent,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "dual_gradient",
     "dual_objective",
     "duality_sandwich_check",
+    "entropic_step_size",
     "is_on_simplex",
     "load_points",
     "matrix_fingerprint",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Loads a point matrix, builds the unit-vector set (pairwise differences or
-the rows themselves), runs the projected-ascent embedding plus any
+the rows themselves), runs the dual-ascent embedding plus any
 requested baselines, and writes a deterministic JSON report and optional
 CSV iteration trace. Re-running with identical flags and input bytes, on
 the same numpy/BLAS build and BLAS thread count, reproduces both files byte
@@ -114,8 +114,8 @@ def write_trace(result, path):
 def build_parser():
     p = argparse.ArgumentParser(
         prog="embed",
-        description="Near-isometric orthogonal embedding via dual projected "
-        "gradient ascent, with PCA and random baselines.",
+        description="Near-isometric orthogonal embedding via dual entropic mirror "
+        "ascent, with PCA and random baselines.",
     )
     p.add_argument("--input", required=True, help="input matrix file (one point per row)")
     p.add_argument(
@@ -130,7 +130,8 @@ def build_parser():
     p.add_argument(
         "--eta",
         default="auto",
-        help="step size: positive finite float, or 'auto' for sqrt(2)/sqrt(n*T)",
+        help="step size: positive finite float at most 700, or 'auto' for "
+        "4*sqrt(2 ln n / T)",
     )
     p.add_argument(
         "--baselines",

@@ -213,8 +213,8 @@ class PointSet:
 class DirectionSet(ABC):
     """n unit directions x_1..x_n in R^d, as the solver and the bounds read
     them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)`` and
-    ``sq_proj(V)``, which ``primal_distortion`` reads block by block
-    (``_sq_proj_blocks``). ``UnitVectorSet`` holds the rows;
+    ``sq_proj(V)``, which ``primal_distortion`` and the ascent read block
+    by block (``_sq_proj_blocks``). ``UnitVectorSet`` holds the rows;
     ``pairs.PairDifferenceSet`` holds the points whose normalised
     differences they are. The methods check nothing: callers check their
     arguments once, at the API boundary.

@@ -152,6 +152,18 @@ def frame_rows(rng, d, noise=0.0):
     return ie.UnitVectorSet(Q)
 
 
+def anisotropic_clusters(r, d, clusters, decay, spread, layout_seed, seed):
+    """r points in a mixture of anisotropic Gaussian clusters, with the
+    scale decay**j in dimension j, around isotropic centres of scale
+    spread: the layout of the benchmark's workloads. layout_seed fixes the
+    centres, seed the cluster memberships and the points."""
+    centres = spread * np.random.default_rng(layout_seed).standard_normal((clusters, d))
+    rng = np.random.default_rng(seed)
+    labels = np.arange(r) % clusters
+    rng.shuffle(labels)
+    return centres[labels] + rng.standard_normal((r, d)) * decay ** np.arange(d)
+
+
 def random_simplex_point(rng, n):
     w = rng.exponential(1.0, size=n)
     return w / w.sum()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import isoembed as ie
+from isoembed.ascent import _paper_rule_ascent
 from isoembed.cli import run_cli
 from oracles import (
     clustered_rows,
@@ -48,6 +49,10 @@ def test_criterion_01_step_size_table():
         assert eta == pytest.approx(math.sqrt(2.0) / math.sqrt(n * 120))
         assert _trunc_2_sig(eta) == _trunc_2_sig(eta_published), (n, eta)
         assert abs(eta - eta_published) / eta_published < 0.025
+    # The paper's rule runs with this formula as its auto step.
+    X = unit_rows(np.random.default_rng(1035), 1035, 3)
+    cfg = ie.AscentConfig(T=120)
+    assert _paper_rule_ascent(X, 1, cfg).step_size == ie.default_step_size(1035, 120)
     _pass(1, "auto step size matches the published table at 2 significant figures")
 
 
@@ -221,11 +226,11 @@ def test_criterion_10_convergence_sanity():
     rng = np.random.default_rng(777)
     M = rng.standard_normal((200, 20))
     X = ie.UnitVectorSet(M / np.linalg.norm(M, axis=1, keepdims=True))
-    short = ie.run_projected_ascent(X, 5, ie.AscentConfig(T=100))
+    short = _paper_rule_ascent(X, 5, ie.AscentConfig(T=100))
     # The stand-in's step is the auto step for T = 10000, spelled out, so a
     # fault in the step rule moves only the run under test.
     eta_long = math.sqrt(2.0) / math.sqrt(200.0 * 10000.0)
-    long = ie.run_projected_ascent(X, 5, ie.AscentConfig(T=10000, step_size=eta_long))
+    long = _paper_rule_ascent(X, 5, ie.AscentConfig(T=10000, step_size=eta_long))
     g_0 = short.trace[0].dual_value
     g_short = short.average_record.dual_value
     g_long = long.average_record.dual_value
@@ -242,4 +247,27 @@ def test_criterion_10_convergence_sanity():
         f"avg-iterate dual at T=100 ({g_short:.4f}) within L*D/sqrt(T) "
         f"of the T=10000 stand-in ({g_long:.4f}), and over half the way there "
         f"from t = 0 ({g_0:.4f})",
+    )
+
+
+def test_criterion_10_entropic_progress():
+    # Criterion 10's progress check under the default, entropic rule, on the
+    # same rows: at T = 100 the average's dual must cover half the way from
+    # t = 0 to a T = 10000 stand-in. It covers 91%; with the step divided or
+    # multiplied by 100 it covers 20% or -24%.
+    rng = np.random.default_rng(777)
+    M = rng.standard_normal((200, 20))
+    X = ie.UnitVectorSet(M / np.linalg.norm(M, axis=1, keepdims=True))
+    short = ie.run_projected_ascent(X, 5, ie.AscentConfig(T=100))
+    # The stand-in's step is the entropic auto step for T = 10000, spelled out.
+    eta_long = 4.0 * math.sqrt(2.0 * math.log(200.0) / 10000.0)
+    long = ie.run_projected_ascent(X, 5, ie.AscentConfig(T=10000, step_size=eta_long))
+    g_0 = short.trace[0].dual_value
+    g_short = short.average_record.dual_value
+    g_long = long.average_record.dual_value
+    assert g_short - g_0 >= 0.5 * (g_long - g_0), (g_0, g_short, g_long)
+    _pass(
+        10,
+        f"entropic avg-iterate dual at T=100 ({g_short:.4f}) over half the way from "
+        f"t = 0 ({g_0:.4f}) to the T=10000 stand-in ({g_long:.4f})",
     )

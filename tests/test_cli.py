@@ -94,6 +94,7 @@ def test_usage_errors_exit_2(small_input, capsys, monkeypatch):
         ("--eta", "-1"),
         ("--eta", "nan"),
         ("--eta", "inf"),
+        ("--eta", "701"),
         ("--rank-tol", "1"),
         ("--rank-tol", "-0.5"),
         ("--rank-tol", "nan"),
@@ -486,6 +487,18 @@ def test_explicit_eta_is_reported(tmp_path, small_input):
     )
     assert rc == 0
     assert json.loads(out.read_text())["eta"] == 0.01
+
+
+def test_embed_runs_the_library_rule_with_its_auto_step(tmp_path, small_input):
+    out = tmp_path / "r.json"
+    rc = run_cli(["--input", str(small_input), "--k", "2", "--iters", "6", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    units = ie.pairwise_unit_differences(ie.load_points(small_input))
+    res = ie.run_projected_ascent(units, 2, ie.AscentConfig(T=6))
+    assert report["eta"] == res.step_size == ie.entropic_step_size(66, 6)
+    assert report["epsilon_alg"] == res.distortion.epsilon
+    assert report["selected_iterate"] == res.selected_iterate
 
 
 def test_run_hashes_and_builds_the_pca_solution_once(tmp_path, small_input, monkeypatch):

@@ -123,7 +123,7 @@ def test_every_step_of_a_pairwise_run_matches_the_full_sort(monkeypatch):
         return lam
 
     monkeypatch.setattr(ascent, "_project_in_place", recording)
-    ie.run_projected_ascent(units, 2, ie.AscentConfig(T=30))
+    ascent._paper_rule_ascent(units, 2, ie.AscentConfig(T=30))
     assert units.n == 19_900 and len(ys) == 30
     candidates = [simplex._support_superset(y - y.max()).size for y in ys]
     assert max(candidates) < units.n  # every step sorted fewer than n entries
