@@ -36,9 +36,6 @@ logger = logging.getLogger(__name__)
 
 DEGENERACY_TOL = 1e-8
 
-# A _Support is built and added this many entries at a time.
-_SUPPORT_CHUNK = 1 << 16
-
 # The auto step is this multiple of sqrt(2 ln n / T), the step that
 # minimises mirror ascent's regret bound for gradients in [-1, 0]. At 4
 # every perfbench input certifies 14-19% tighter than under the paper's
@@ -126,70 +123,14 @@ def _worst_distortion(s) -> WorstDistortion:
     return WorstDistortion(epsilon, int(near[np.argmax(1.0 - s[near] == epsilon)]))
 
 
-def _gradient(s, out=None):
-    """The dual gradient -s at the squared projections s, written over s or
-    into out. It is formed as 0 - s, so a zero s gives +0.0: a step then
-    adds a zero weight's +0.0 or nothing to it alike."""
-    g = np.subtract(0.0, s, out=s if out is None else out)
+def _gradient(s):
+    """The dual gradient -s at the squared projections s, written over s.
+    It is formed as 0 - s, so a zero s gives +0.0."""
+    g = np.subtract(0.0, s, out=s)
     # ||V'x||^2 <= 1 for unit x; clip fp excess so the Lipschitz bound
     # ||grad||_2 <= sqrt(n) holds literally.
     np.clip(g, -1.0, 0.0, out=g)
     return g
-
-
-@dataclass(frozen=True)
-class _Support:
-    """A length-n weight vector kept by its nonzero entries: their indices,
-    as int32 below 2^31 entries, and values, 12 bytes an entry. Both are
-    built and read _SUPPORT_CHUNK entries at a time, so no temporary is as
-    long as the support."""
-
-    idx: np.ndarray
-    val: np.ndarray
-    n: int
-
-    @classmethod
-    def of(cls, lam):
-        """The support of lam, a nonnegative vector (its positive entries)."""
-        chunks = [lam[i : i + _SUPPORT_CHUNK] for i in range(0, lam.size, _SUPPORT_CHUNK)]
-        # Tested as booleans: np.nonzero is several times slower on floats.
-        size = sum(np.count_nonzero(c > 0.0) for c in chunks)
-        idx = np.empty(size, np.int32 if lam.size <= 2**31 else np.intp)
-        val = np.empty(size)
-        a = 0
-        for i, c in zip(range(0, lam.size, _SUPPORT_CHUNK), chunks):
-            j = np.flatnonzero(c > 0.0)
-            np.add(j, i, out=idx[a : a + j.size], casting="unsafe")
-            np.take(c, j, out=val[a : a + j.size], mode="clip")
-            a += j.size
-        return cls(idx, val, lam.size)
-
-    def add_to(self, y):
-        """y += the weights, bit for bit."""
-        for a in range(0, self.idx.size, _SUPPORT_CHUNK):
-            # As intp: numpy indexes several times slower with int32.
-            y[self.idx[a : a + _SUPPORT_CHUNK].astype(np.intp)] += self.val[a : a + _SUPPORT_CHUNK]
-
-    def dense(self):
-        lam = np.zeros(self.n)
-        lam[self.idx] = self.val
-        return lam
-
-
-def _step(s, lam, eta, out=None):
-    """lam + eta * _gradient(s), bit for bit, written over s or into out.
-    lam is a length-n vector or a _Support. The step is formed as
-    0 - eta * clip(s, 0, 1), the same bits as eta * _gradient(s) except
-    where that product underflows to -0.0: here it is +0.0, which a zero
-    weight's +0.0 or nothing added leaves alike."""
-    y = np.clip(s, 0.0, 1.0, out=s if out is None else out)
-    y *= eta
-    np.subtract(0.0, y, out=y)
-    if isinstance(lam, _Support):
-        lam.add_to(y)
-    else:
-        y += lam
-    return y
 
 
 def primal_distortion(X, V) -> WorstDistortion:
@@ -293,11 +234,11 @@ def _check_auto_step(n, T):
 class _Iterate:
     """An evaluated iterate: its worst distortion epsilon, attained first at
     argmax, and the dual g(lam) clipped to [0, epsilon]. lam is t = 0's
-    zero-stride uniform view, a projected step's _Support, the average's
-    vector or, for an entropic step, None; the iterate holds no other
-    length-n vector."""
+    zero-stride uniform view, a projected step's or the average's vector
+    or, for an entropic step, None; the iterate holds no other length-n
+    vector."""
 
-    lam: np.ndarray | _Support | None
+    lam: np.ndarray | None
     basis: OrthonormalBasis
     epsilon: float
     argmax: int
@@ -317,12 +258,11 @@ def _iterate(lam, state, worst):
     return _Iterate(lam, state.basis, worst.epsilon, worst.argmax, dual, degenerate)
 
 
-def _evaluate(X, M, lam, k, out=None):
+def _evaluate(X, M, lam, k):
     """Eigendecompose M = M(lam) and score its basis: the iterate, and its
-    squared projections s_i = ||V'x_i||^2, written into out (or a new
-    vector), which feed the next step."""
+    squared projections s_i = ||V'x_i||^2, which feed the next step."""
     state = top_k_eigenpairs(M, k)
-    s = X.sq_proj(state.basis.V, out)
+    s = X.sq_proj(state.basis.V)
     return _iterate(lam, state, _worst_distortion(s)), s
 
 
@@ -405,60 +345,27 @@ def _run(X, k, cfg, steps, auto_step):
 
 
 def _projected_steps(X, k, T, eta):
-    """The paper's rule: T projected gradient steps from uniform weights.
-    Returns t = 0's iterate, the trace, the average's record (None when
-    T = 0), and the selected iterate's name and iterate, whose lam is a
-    vector."""
+    """The paper's rule: T projected gradient steps
+    lam <- P(lam + eta * gradient) from uniform weights, lam dense. Returns
+    t = 0's iterate, the trace, the average's record (None when T = 0), and
+    the selected iterate's name and iterate, whose lam is a vector."""
     n = X.n
-    # The uniform weights as a zero-stride view: pca holds no length-n
-    # buffer. From step 1 on, one work vector s holds each step's s, then
-    # its step, then its projection lam, then the next s, written over lam
-    # once M(lam) is built: with lam_sum the loop holds two length-n
-    # vectors. lam is kept by its support, for the next step and as the
-    # best's.
     pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
     best = cur = pca
     trace = [pca.record(0, best)]
-    support = 0  # summed over the steps: the moment kernel reads these rows
+    lam_sum = np.zeros(n)
     for t in range(1, T + 1):
-        if t == 1:
-            # Step 1 is formed in a new vector, and t = 0's s is freed
-            # before lam_sum is allocated. That one free of a length-n
-            # vector lets glibc raise its mmap threshold above the steps'
-            # block-sized temporaries, which it otherwise maps afresh at
-            # every step: 53,600 minor faults in place of 1,400 on the
-            # perfbench pairwise-solve input.
-            s = _step(s, cur.lam, eta, out=np.empty(n))
-            # Written, not calloc'ed as by np.zeros: the first += would fault
-            # each fresh page twice, once to read the zero page and once to
-            # write it.
-            lam_sum = np.full(n, 0.0)
-        else:
-            _step(s, cur.lam, eta)
-        del cur  # the spent support is freed unless it is best's
-        lam = _project_in_place(s)
+        lam = _project_in_place(cur.lam + eta * _gradient(s))
         lam_sum += lam
-        cur = _evaluate(X, X.moment(lam), _Support.of(lam), k, out=lam)[0]
-        del lam  # s now holds the next s
-        support += cur.lam.idx.size
+        cur, s = _evaluate(X, X.moment(lam), lam, k)
         if cur.epsilon < best.epsilon:
             best = cur
         trace.append(cur.record(t, best))
-    del cur
-
     if T < 1:
         return pca, trace, None, "best", best
     lam_sum /= T  # in place: the average weights
-    logger.info(
-        "lambda support: mean %.4f of n = %d over %d steps, average iterate %.4f",
-        support / (T * n), n, T, np.count_nonzero(lam_sum) / n,
-    )
-    # The average's s is written over the last step's.
-    avg = _evaluate(X, X.moment(lam_sum), lam_sum, k, out=s)[0]
-    del s
+    avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)[0]
     selected, chosen = _select(best, avg)
-    if isinstance(chosen.lam, _Support):
-        chosen = replace(chosen, lam=chosen.lam.dense())
     return pca, trace, avg.record(T, chosen), selected, chosen
 
 
@@ -482,11 +389,10 @@ def _entropic_steps(X, k, T, eta):
     pca, M = _entropic_pass(X, M0, lam, k, eta)
     pca = replace(pca, lam=uniform)
     # lam_1 is moved to a new vector, and the spent one is freed before
-    # lam_sum is allocated. As in the projected loop's step 1, that one
-    # free of a length-n vector lets glibc raise its mmap threshold above
-    # the passes' block-sized temporaries, which it otherwise maps afresh
-    # at every step: 52,000 minor faults in place of 1,650 on the perfbench
-    # pairwise-solve input.
+    # lam_sum is allocated. That one free of a length-n vector lets glibc
+    # raise its mmap threshold above the passes' block-sized temporaries,
+    # which it otherwise maps afresh at every step: 52,000 minor faults in
+    # place of 1,650 on the perfbench pairwise-solve input.
     lam = lam.copy()
     lam_sum = np.full(n, 0.0)
     best, best_t = pca, 0

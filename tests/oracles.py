@@ -39,7 +39,8 @@ def kkt_simplex_projection(y):
 
 def sort_simplex_projection(y):
     """Simplex projection by sorting every entry, the bitwise reference for
-    the library's projection, which sorts only a candidate set."""
+    the library's projection, which runs the same formula after raising
+    the entries more than 2 below the largest to that floor."""
     y = np.asarray(y, dtype=np.float64)
     z = y - y.max()
     u = np.sort(z)[::-1]

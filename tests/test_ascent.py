@@ -1,4 +1,3 @@
-import logging
 import math
 import os
 import re
@@ -442,6 +441,63 @@ def test_first_step_follows_the_projected_gradient_rule():
     assert res.trace[1].primal_epsilon == ie.primal_distortion(X, basis).epsilon
 
 
+def _clustered_points(r):
+    """r points in 8 clusters in R^6, CI's step-best layout."""
+    rng = np.random.default_rng(12)
+    centres = 3.0 * rng.standard_normal((8, 6))
+    return centres[rng.integers(0, 8, r)] + 0.3 * rng.standard_normal((r, 6))
+
+
+def _paper_rule_replayed(X, k, T):
+    """The paper's rule at its auto step, formula by formula through public
+    functions: the trace, the average's record, the selected weights and
+    basis."""
+    n = X.n
+    eta = ie.default_step_size(n, T)
+    lam, lam_sum = np.full(n, 1.0 / n), np.zeros(n)
+
+    def evaluate(lam):
+        state = ie.top_k_eigenpairs(ie.weighted_moment_matrix(X, lam), k)
+        s = X.sq_proj(state.basis.V)
+        eps = float(np.clip(1.0 - s, 0.0, None).max())
+        dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, eps))
+        return s, eps, dual, state.spectral_gap < ascent.DEGENERACY_TOL, state.basis.V
+
+    trace, best = [], None
+    for t in range(T + 1):
+        if t:
+            lam = ie.project_to_simplex(lam + eta * np.clip(-s, -1.0, 0.0)).lam
+            lam_sum += lam
+        s, eps, dual, degenerate, V = evaluate(lam)
+        if best is None or eps < best[0]:
+            best = (eps, lam, V)
+        trace.append(ie.IterationRecord(t, dual, eps, best[0], degenerate))
+    lam_avg = lam_sum / T
+    _, eps, dual, degenerate, V = evaluate(lam_avg)
+    chosen = best if best[0] < eps else (eps, lam_avg, V)
+    return trace, ie.IterationRecord(T, dual, eps, chosen[0], degenerate), chosen[1], chosen[2]
+
+
+@pytest.mark.parametrize(
+    "X, T, selected",
+    [
+        # Step 5 of 20 is selected: its weights are spent by the steps after it.
+        (clustered_rows(np.random.default_rng(40), 300, 8), 20, "best"),
+        (ie.pairwise_unit_differences(ie.PointSet(_clustered_points(200))), 30, "average"),
+    ],
+    ids=["rows", "pairs"],
+)
+def test_the_papers_rule_is_its_formula_replayed_step_by_step(X, T, selected):
+    res = ascent._paper_rule_ascent(X, 2, ie.AscentConfig(T=T))
+    trace, avg, lam, V = _paper_rule_replayed(X, 2, T)
+    assert res.selected_iterate == selected
+    if selected == "best":
+        assert 0 < [r.primal_epsilon for r in res.trace].index(res.distortion.epsilon) < T
+    assert res.trace == trace and res.average_record == avg
+    assert res.lambda_selected.lam.tobytes() == lam.tobytes()
+    assert res.basis.V.tobytes() == V.tobytes()
+
+
 def test_first_step_follows_the_entropic_rule():
     # trace[1] must be the iterate lambda_1 = uniform * exp(eta * grad g(uniform)),
     # divided by its sum, recomputed here through public functions only.
@@ -497,8 +553,8 @@ def test_a_run_builds_no_distortion_vector():
 
 def test_memory_per_row():
     # The rows counterpart of test_pairs.py::test_memory_per_pair: 40,000 x 50
-    # rows, 16 MB. M(uniform) reads every row, a step's lambda about a third
-    # of them and the average iterate 83%.
+    # rows, 16 MB. Every moment, M(uniform), each step's and the average's,
+    # reads every row: entropic weights stay positive.
     X = unit_rows(np.random.default_rng(48), 40_000, 50)
     tracemalloc.start()
     try:
@@ -511,29 +567,27 @@ def test_memory_per_row():
         tracemalloc.stop()
     assert res.fingerprint == X.fingerprint()
     # A moment that copies its kept rows whole peaks at 1.04x the rows. In
-    # blocks the run peaks at 0.218x (one 2 MB block and a few length-n
+    # blocks the run peaks at 0.202x (one 2 MB block and a few length-n
     # vectors); the bound leaves room for two more length-n float vectors.
     assert peak <= 0.26 * X.X.nbytes
 
 
-def _solve_peak(P, k, cfg=ie.AscentConfig(T=3), run=ie.run_projected_ascent):
+def _solve_peak(P, k, cfg=ie.AscentConfig(T=3)):
     """The tracemalloc peak of a solve on the pairs of P, T = 3 by default,
     in units of 8n bytes, and the run."""
     pairs = ie.pairwise_unit_differences(ie.PointSet(P))
     tracemalloc.start()
     try:
-        res = run(pairs, k, cfg)
+        res = ie.run_projected_ascent(pairs, k, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / (8 * pairs.n), res
 
 
-# A pairwise solve holds two length-n vectors: lambda and the running sum
-# (entropic), or a work buffer and the running sum, and each kept lambda
-# by its support, 12 bytes an entry (the paper's rule). The kernels' blocks of
-# 2^16 entries and gathers of 2^15 are about a quarter of a vector more at
-# 499,500 pairs.
+# A pairwise solve holds two length-n vectors: lambda and the running sum.
+# The kernels' blocks of 2^16 entries and gathers of 2^15 are about a
+# quarter of a vector more at 499,500 pairs.
 PAIRWISE_SOLVE_PEAK = 2.7
 
 
@@ -547,38 +601,27 @@ def test_a_pairwise_solve_holds_two_length_n_vectors():
     # No step beats t = 0, whose weights are a zero-stride view, so no
     # spent lambda is kept as the best's.
     assert all(r.best_epsilon == res.trace[0].primal_epsilon for r in res.trace)
-    # The default, entropic loop peaks at 2.30 vectors here, and the
-    # paper's rule at 2.37. A projected loop that holds lambda, the
-    # running sum and s dense peaks at 3.31, and one that also keeps the
-    # spent lambda through the projection, forms the step in a new vector
-    # and compacts each round with one np.compress at 4.28.
+    # The entropic loop peaks at 2.30 vectors here. The paper's rule, kept
+    # as a dense reference with a full sort, peaks at 8.03.
     assert peak <= PAIRWISE_SOLVE_PEAK
 
 
-def test_a_pairwise_solve_whose_best_is_a_spent_step_holds_two_length_n_vectors():
+def test_the_papers_rule_selects_a_spent_step_of_a_pairwise_solve():
     # 1,000 clustered points in CI's layout, 499,500 pairs: under the
-    # paper's rule steps 1 and 2 each improve on the best, so the best's
-    # lambda is held while steps 2 and 3 run.
-    rng = np.random.default_rng(12)
-    centres = 3.0 * rng.standard_normal((8, 6))
-    P = centres[rng.integers(0, 8, 1000)] + 0.3 * rng.standard_normal((1000, 6))
-    peak, res = _solve_peak(P, 2, ie.AscentConfig(T=3), ascent._paper_rule_ascent)
+    # paper's rule steps 1 and 2 each improve on the best and step 3 does
+    # not, so the selected lambda is a spent step's.
+    X = ie.pairwise_unit_differences(ie.PointSet(_clustered_points(1000)))
+    res = ascent._paper_rule_ascent(X, 2, ie.AscentConfig(T=3))
     eps = [r.primal_epsilon for r in res.trace]
     assert eps[1] < eps[0] and eps[2] < eps[1] and eps[3] > eps[2]
     assert res.selected_iterate == "best" and res.distortion.epsilon == eps[2]
-    # 2.63 vectors here: the best's support and the current step's, each
-    # about 21% of n, while the next s is computed. A loop that keeps the
-    # best's lambda dense peaks at 4.30.
-    assert peak <= PAIRWISE_SOLVE_PEAK
 
 
 def test_an_entropic_solve_whose_best_is_a_spent_step_forms_its_lambda_again(monkeypatch):
     # CI's step-best layout with a step of 1: step 2 is the best of T = 3
     # and beats the average, so its lambda, spent by step 3, is formed
     # again after the loop.
-    rng = np.random.default_rng(12)
-    centres = 3.0 * rng.standard_normal((8, 6))
-    P = centres[rng.integers(0, 8, 1000)] + 0.3 * rng.standard_normal((1000, 6))
+    P = _clustered_points(1000)
     cfg = ie.AscentConfig(T=3, step_size=1.0)
     peak, res = _solve_peak(P, 2, cfg)
     eps = [r.primal_epsilon for r in res.trace]
@@ -653,33 +696,30 @@ def test_an_entropic_solve_whose_best_is_the_last_step_keeps_its_lambda(monkeypa
 _FAULTS = """
 import resource, sys
 import numpy as np, isoembed as ie
-from isoembed import ascent
-run = {"entropic": ie.run_projected_ascent, "paper": ascent._paper_rule_ascent}[sys.argv[2]]
 rng = np.random.default_rng(1)
 centres = 3.0 * np.random.default_rng(7).standard_normal((20, 10))
 P = centres[rng.integers(0, 20, 1000)] + rng.standard_normal((1000, 10)) * 0.9 ** np.arange(10)
 pairs = ie.pairwise_unit_differences(ie.PointSet(P))
 ie.uniform_moment_matrix(pairs)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run(pairs, 3, ie.AscentConfig(T=int(sys.argv[1])))
+ie.run_projected_ascent(pairs, 3, ie.AscentConfig(T=int(sys.argv[1])))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold")
-@pytest.mark.parametrize("rule", ["entropic", "paper"])
-def test_a_pairwise_step_maps_no_fresh_pages(rule):
-    # Each loop frees one length-n vector before its steps, which raises
+def test_a_pairwise_step_maps_no_fresh_pages():
+    # The loop frees one length-n vector before its steps, which raises
     # glibc's mmap threshold above the kernels' block temporaries; without
     # that free every step maps them afresh. On 499,500 pairs, in fresh
-    # processes, ten more steps add 0-130 minor faults, and 4,700 (entropic)
-    # or 6,200 (the paper's rule) without the free.
+    # processes, ten more steps add 0-130 minor faults, and 4,700 without
+    # the free.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
 
     def faults(T):
-        cmd = [sys.executable, "-c", _FAULTS, str(T), rule]
+        cmd = [sys.executable, "-c", _FAULTS, str(T)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout)
@@ -717,58 +757,6 @@ def test_the_blockwise_entropic_step_is_bitwise_the_dense_one(case):
         assert ascent._blockwise_worst(X._sq_proj_blocks(V), got, eta) == ie.primal_distortion(X, V)
         got /= got.sum()
         assert got.tobytes() == want.tobytes()
-
-
-@st.composite
-def steps(draw):
-    """Squared projections s with entries of 0 and above 1, a step size,
-    and lambda as t = 0's zero-stride uniform view or a dense vector."""
-    n = draw(st.integers(1, 8))
-    s = draw(
-        st.lists(
-            st.sampled_from([0.0, 1.0, np.nextafter(1.0, 2.0)]) | st.floats(0.0, 2.0),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    eta = draw(st.floats(1e-6, 10.0))
-    if draw(st.booleans()):
-        lam = np.broadcast_to(1.0 / n, n)
-    else:
-        lam = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-    return np.array(s), eta, lam
-
-
-@settings(max_examples=200, deadline=None)
-@given(steps())
-# eta * -s underflows to -0.0, which lam + -0.0 turns to +0.0.
-@example((np.array([5e-324]), 0.5, np.array([0.0])))
-def test_the_step_in_s_is_bitwise_lam_plus_eta_times_the_gradient(step):
-    s, eta, lam = step
-    # The gradient as a new vector: -s clipped to [-1, 0].
-    want = lam + eta * np.clip(-s, -1.0, 0.0)
-    buf = s.copy()
-    got = ascent._step(buf, lam, eta)
-    assert got is buf
-    assert got.tobytes() == want.tobytes()
-    # A dense lambda kept by its support adds the same bits: where lambda is
-    # zero, the gradient's zero is +0.0 as lam + 0.0 is.
-    if lam.strides != (0,):
-        got = ascent._step(s.copy(), ascent._Support.of(lam), eta)
-        assert got.tobytes() == want.tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0), min_size=1, max_size=40))
-def test_a_support_gives_back_its_vector(values):
-    lam = np.array(values)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ascent, "_SUPPORT_CHUNK", 3)  # chunks of three entries
-        kept = ascent._Support.of(lam)
-        y = np.zeros(lam.size)
-        kept.add_to(y)
-    assert kept.idx.dtype == np.int32 and kept.idx.size == np.count_nonzero(lam)
-    assert kept.dense().tobytes() == lam.tobytes() == y.tobytes()
 
 
 @st.composite
@@ -815,28 +803,6 @@ def test_degenerate_spectrum_is_flagged_not_fatal():
     assert res.degenerate_iterations >= 1
     # dual values are still valid lower bounds
     assert res.best_dual_value <= res.distortion.epsilon + 1e-8
-
-
-def test_run_logs_the_support_of_lambda(caplog, monkeypatch):
-    from isoembed import ascent
-
-    lams = []
-    real = ascent._project_in_place
-
-    def recording(y):
-        lam = real(y)
-        lams.append(lam.copy())
-        return lam
-
-    monkeypatch.setattr(ascent, "_project_in_place", recording)
-    X = clustered_rows(np.random.default_rng(46), 200, 6)
-    with caplog.at_level(logging.INFO, logger="isoembed.ascent"):
-        ascent._paper_rule_ascent(X, 2, ie.AscentConfig(T=10))
-    supports = np.count_nonzero(lams, axis=1)
-    assert len(lams) == 10 and supports.min() < X.n
-    mean, avg = supports.sum() / (10 * X.n), np.count_nonzero(np.sum(lams, axis=0)) / X.n
-    expected = f"lambda support: mean {mean:.4f} of n = 200 over 10 steps, average iterate {avg:.4f}"
-    assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [expected]
 
 
 def test_run_whose_lambda_loses_support_matches_a_dense_moment(monkeypatch):

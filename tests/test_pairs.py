@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
-from isoembed import ascent
 from isoembed import pairs as pairs_module
 from isoembed.pairs import KAPPA_LIMIT
 from isoembed.types import row_moment, row_sq_proj
@@ -348,23 +347,20 @@ def test_one_kernel_call_holds_no_r_by_r_array(dedup):
 def test_memory_per_pair():
     P = ie.PointSet(np.random.default_rng(22).standard_normal((300, 40)))
     n = 300 * 299 // 2
-    # The default, entropic rule and the paper's rule, each on a new set.
-    for run in (ie.run_projected_ascent, ascent._paper_rule_ascent):
-        tracemalloc.start()
-        try:
-            pairs = ie.pairwise_unit_differences(P)
-            build_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            res = run(pairs, 4, ie.AscentConfig(T=5))
-            ie.approximation_bound(pairs)
-            pairs.fingerprint()
-            run_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.fingerprint == pairs.fingerprint()
-        assert build_peak <= 32 * n  # the dense build needs 8 d = 320 B/pair
-        # The run peaks at 50.1 B/pair under the entropic rule and 52.4 under
-        # the paper's (the pair set's 8 B/pair, the loop's two length-n
-        # vectors and a block of the kernels, 11.7 B/pair at this n); the
-        # bound leaves room for one more length-n float vector.
-        assert run_peak <= 61 * n, run
+    tracemalloc.start()
+    try:
+        pairs = ie.pairwise_unit_differences(P)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        res = ie.run_projected_ascent(pairs, 4, ie.AscentConfig(T=5))
+        ie.approximation_bound(pairs)
+        pairs.fingerprint()
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.fingerprint == pairs.fingerprint()
+    assert build_peak <= 32 * n  # the dense build needs 8 d = 320 B/pair
+    # The run peaks at 49.8 B/pair: the pair set's 8 B/pair, the loop's two
+    # length-n vectors and a block of the kernels, 11.7 B/pair at this n.
+    # The bound leaves room for one more length-n float vector.
+    assert run_peak <= 61 * n
