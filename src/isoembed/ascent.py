@@ -6,10 +6,12 @@ squared projections s_i = ||V'x_i||^2 onto the top-k eigenvectors V of
 M(w). Each ascent step is one of exponentiated-gradient, or entropic
 mirror, ascent (Beck & Teboulle, Oper. Res. Lett. 2003): lam_i *
 exp(-eta s_i), divided by its sum, which is the KL projection onto the
-simplex. It needs no sort, and each block of s updates its block of lam as
-the projection computes it, so no length-n s exists. The paper's rule,
-lam + eta * gradient projected onto the simplex in the Euclidean norm, is
-kept as a private reference (_paper_rule_ascent).
+simplex. It needs no sort, and one walk over the directions does a whole
+step: each block of s updates its block of lam as the projection computes
+it, and the same walk then adds that block's share of the next moment, so
+no length-n s exists and the directions are read once per step. The
+paper's rule, lam + eta * gradient projected onto the simplex in the
+Euclidean norm, is kept as a private reference (_paper_rule_ascent).
 
 Each iterate's basis is recovered from the top-k eigenvectors of M and
 scored by its worst-case distortion. The driver keeps the best iterate seen
@@ -23,7 +25,9 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -91,13 +95,22 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class EmbeddingResult:
-    """Outcome of a dual-ascent run."""
+    """Outcome of a dual-ascent run.
+
+    ``lambda_selected``, the selected iterate's weights, is formed on first
+    access and kept. An entropic run holds no step's weights, so it replays
+    its passes from uniform weights: t of them for step t, bit for bit the
+    loop's weights, and T for the average, the mean of lambda_1..lambda_T.
+    The result therefore keeps a reference to the direction set. t = 0
+    gives the uniform weights; the paper's rule hands over the vector it
+    kept.
+    """
 
     basis: OrthonormalBasis
     distortion: WorstDistortion
     trace: list[IterationRecord]
     selected_iterate: str  # "best" or "average"
-    lambda_selected: SimplexWeights
+    _form_lambda: Callable[[], np.ndarray] = field(repr=False, compare=False)
     best_dual_value: float
     step_size: float
     # The t = 0 (uniform-weight) iterate's distortion: bitwise the PCA baseline.
@@ -105,6 +118,10 @@ class EmbeddingResult:
     average_record: IterationRecord | None = None
     fingerprint: str = ""
     degenerate_iterations: int = 0
+
+    @cached_property
+    def lambda_selected(self) -> SimplexWeights:
+        return SimplexWeights(self._form_lambda())
 
 
 def _worst_distortion(s) -> WorstDistortion:
@@ -232,13 +249,10 @@ def _check_auto_step(n, T):
 
 @dataclass(frozen=True)
 class _Iterate:
-    """An evaluated iterate: its worst distortion epsilon, attained first at
-    argmax, and the dual g(lam) clipped to [0, epsilon]. lam is t = 0's
-    zero-stride uniform view, a projected step's or the average's vector
-    or, for an entropic step, None; the iterate holds no other length-n
-    vector."""
+    """An evaluated iterate: its basis, its worst distortion epsilon,
+    attained first at argmax, and the dual g(lam) clipped to [0, epsilon].
+    It holds no length-n vector."""
 
-    lam: np.ndarray | None
     basis: OrthonormalBasis
     epsilon: float
     argmax: int
@@ -249,39 +263,42 @@ class _Iterate:
         return IterationRecord(t, self.dual, self.epsilon, best.epsilon, self.degenerate)
 
 
-def _iterate(lam, state, worst):
+def _iterate(state, worst):
     # V spans the top-k eigenvectors of M(lam), so exactly
     # g(lam) = sum_i lam_i (1 - s_i) <= max_i (1 - s_i) <= epsilon:
     # a dual above epsilon is rounding.
     dual = float(np.clip(1.0 - state.eigenvalues.sum(), 0.0, worst.epsilon))
     degenerate = state.spectral_gap < DEGENERACY_TOL
-    return _Iterate(lam, state.basis, worst.epsilon, worst.argmax, dual, degenerate)
+    return _Iterate(state.basis, worst.epsilon, worst.argmax, dual, degenerate)
 
 
-def _evaluate(X, M, lam, k):
-    """Eigendecompose M = M(lam) and score its basis: the iterate, and its
-    squared projections s_i = ||V'x_i||^2, which feed the next step."""
+def _evaluate(X, M, k):
+    """Eigendecompose M and score its basis: the iterate, and its squared
+    projections s_i = ||V'x_i||^2, which feed the next step."""
     state = top_k_eigenpairs(M, k)
     s = X.sq_proj(state.basis.V)
-    return _iterate(lam, state, _worst_distortion(s)), s
+    return _iterate(state, _worst_distortion(s)), s
 
 
-def _evaluate_blocks(X, M, lam, k):
-    """Eigendecompose M = M(lam) and score its basis block by block: the
-    iterate."""
-    state = top_k_eigenpairs(M, k)
-    return _iterate(lam, state, _blockwise_worst(X._sq_proj_blocks(state.basis.V)))
+def _score(X, state):
+    """The iterate of the eigenpairs state, its basis scored block by
+    block."""
+    return _iterate(state, _blockwise_worst(X._sq_proj_blocks(state.basis.V)))
 
 
-def _entropic_pass(X, M, lam, k, eta, moment=True):
-    """Eigendecompose M = M(lam), score its basis block by block, and step
-    lam in place to the next weights, each block of s stepping its block of
-    lam, then dividing by the sum: the iterate, whose lam is None, and the
-    next weights' moment (None unless moment)."""
-    state = top_k_eigenpairs(M, k)
-    worst = _blockwise_worst(X._sq_proj_blocks(state.basis.V), lam, eta)
-    lam /= lam.sum()
-    return _iterate(None, state, worst), X.moment(lam) if moment else None
+def _entropic_pass(X, state, lam, eta, moment=True):
+    """Score the basis of the eigenpairs state of M(lam) block by block and
+    step lam in place to the next weights, each block of s stepping its
+    block of lam; the same walk sums the moment of the stepped weights.
+    lam and the moment are then divided by the weights' sum: the iterate
+    and the next weights' moment (None unless moment)."""
+    M = np.zeros((X.d, X.d)) if moment else None
+    worst = _blockwise_worst(X._sq_proj_blocks(state.basis.V, lam, M), lam, eta)
+    total = lam.sum()
+    lam /= total
+    if moment:
+        M /= total
+    return _iterate(state, worst), M
 
 
 def _select(best, avg):
@@ -321,7 +338,7 @@ def _run(X, k, cfg, steps, auto_step):
     else:
         eta = auto_step(X.n, T)
 
-    pca, trace, avg, selected, chosen = steps(X, k, T, eta)
+    pca, trace, avg, selected, chosen, form_lambda = steps(X, k, T, eta)
 
     records = trace if avg is None else trace + [avg]
     n_degen = sum(r.degenerate for r in records)
@@ -334,7 +351,7 @@ def _run(X, k, cfg, steps, auto_step):
         distortion=WorstDistortion(chosen.epsilon, chosen.argmax),
         trace=trace,
         selected_iterate=selected,
-        lambda_selected=SimplexWeights(chosen.lam),
+        _form_lambda=form_lambda,
         best_dual_value=max(r.dual_value for r in records),
         step_size=eta,
         pca_distortion=WorstDistortion(pca.epsilon, pca.argmax),
@@ -347,77 +364,94 @@ def _run(X, k, cfg, steps, auto_step):
 def _projected_steps(X, k, T, eta):
     """The paper's rule: T projected gradient steps
     lam <- P(lam + eta * gradient) from uniform weights, lam dense. Returns
-    t = 0's iterate, the trace, the average's record (None when T = 0), and
-    the selected iterate's name and iterate, whose lam is a vector."""
+    t = 0's iterate, the trace, the average's record (None when T = 0), the
+    selected iterate's name and iterate, and a function returning its
+    weights, which it keeps."""
     n = X.n
-    pca, s = _evaluate(X, uniform_moment_matrix(X), np.broadcast_to(1.0 / n, n), k)
-    best = cur = pca
+    lam = np.broadcast_to(1.0 / n, n)
+    pca, s = _evaluate(X, uniform_moment_matrix(X), k)
+    best, best_lam = pca, lam
     trace = [pca.record(0, best)]
     lam_sum = np.zeros(n)
     for t in range(1, T + 1):
-        lam = _project_in_place(cur.lam + eta * _gradient(s))
+        lam = _project_in_place(lam + eta * _gradient(s))
         lam_sum += lam
-        cur, s = _evaluate(X, X.moment(lam), lam, k)
+        cur, s = _evaluate(X, X.moment(lam), k)
         if cur.epsilon < best.epsilon:
-            best = cur
+            best, best_lam = cur, lam
         trace.append(cur.record(t, best))
     if T < 1:
-        return pca, trace, None, "best", best
+        return pca, trace, None, "best", best, lambda: best_lam
     lam_sum /= T  # in place: the average weights
-    avg = _evaluate(X, X.moment(lam_sum), lam_sum, k)[0]
+    avg = _evaluate(X, X.moment(lam_sum), k)[0]
     selected, chosen = _select(best, avg)
-    return pca, trace, avg.record(T, chosen), selected, chosen
+    kept = lam_sum if selected == "average" else best_lam
+    return pca, trace, avg.record(T, chosen), selected, chosen, lambda: kept
 
 
 def _entropic_steps(X, k, T, eta):
     """Entropic mirror ascent: T steps lam <- lam * exp(-eta s) / sum from
-    uniform weights. Returns as _projected_steps does.
+    uniform weights. Returns as _projected_steps does, but the function
+    forms the weights again (_replayed_lambda).
 
-    The loop holds two length-n vectors, lam and lam_sum. Each pass over
-    the blocks of s steps lam_t to lam_{t+1} in place once M(lam_t) is
-    built (_entropic_pass). A step's lam is not kept: when the selected
-    iterate is a step t* before the last, lam_{t*} is formed again in a
-    freed vector by re-running the passes up to it, bit for bit.
+    The loop holds one length-n vector, lam. Each pass over the blocks of
+    s steps lam_t to lam_{t+1} in place and sums M(lam_{t+1}) in the same
+    walk (_entropic_pass). M is linear in lam, so the average's moment is
+    the mean of the steps' moments, and no sum of the weights is kept.
     """
     n = X.n
-    uniform = np.broadcast_to(1.0 / n, n)
-    M0 = uniform_moment_matrix(X)
+    M = uniform_moment_matrix(X)
     if T < 1:
-        pca = _evaluate_blocks(X, M0, uniform, k)
-        return pca, [pca.record(0, pca)], None, "best", pca
+        pca = _score(X, top_k_eigenpairs(M, k))
+        return pca, [pca.record(0, pca)], None, "best", pca, partial(_replayed_lambda, X, k, eta, 0)
+    # glibc raises its mmap threshold to the size of a mapped block when it
+    # frees it, and its heap trim threshold to twice that. A vector 512
+    # entries shorter than lam, freed untouched before lam is allocated,
+    # puts the threshold just below lam: the passes' block-sized
+    # temporaries then reuse the heap, where they would otherwise be
+    # mapped afresh at every step (24,900 minor faults in place of 640 on
+    # the perfbench pairwise-solve input), and lam stays mapped, so it
+    # returns its pages when it is freed.
+    np.empty(max(n - 512, 0))
     lam = np.full(n, 1.0 / n)
-    pca, M = _entropic_pass(X, M0, lam, k, eta)
-    pca = replace(pca, lam=uniform)
-    # lam_1 is moved to a new vector, and the spent one is freed before
-    # lam_sum is allocated. That one free of a length-n vector lets glibc
-    # raise its mmap threshold above the passes' block-sized temporaries,
-    # which it otherwise maps afresh at every step: 52,000 minor faults in
-    # place of 1,650 on the perfbench pairwise-solve input.
-    lam = lam.copy()
-    lam_sum = np.full(n, 0.0)
-    best, best_t = pca, 0
-    trace = [pca.record(0, best)]
-    for t in range(1, T + 1):
-        lam_sum += lam
+    M_sum = np.zeros((X.d, X.d))
+    trace = []
+    for t in range(T + 1):
+        state = top_k_eigenpairs(M, k)
+        if t:
+            M_sum += M
+        del M  # freed before the walk sums the next one
         if t < T:
-            cur, M = _entropic_pass(X, M, lam, k, eta)
+            cur, M = _entropic_pass(X, state, lam, eta)
         else:  # the last pass forms no lam_{T+1}
-            cur = _evaluate_blocks(X, M, None, k)
-        if cur.epsilon < best.epsilon:
+            cur = _score(X, state)
+        if t == 0:
+            pca = best = cur
+            best_t = 0
+        elif cur.epsilon < best.epsilon:
             best, best_t = cur, t
         trace.append(cur.record(t, best))
-    del M
 
-    lam_sum /= T  # in place: the average weights
-    avg = _evaluate_blocks(X, X.moment(lam_sum), lam_sum, k)
+    M_sum /= T  # in place: the average's moment
+    avg = _score(X, top_k_eigenpairs(M_sum, k))
     selected, chosen = _select(best, avg)
-    record = avg.record(T, chosen)
-    if chosen.lam is None:
-        del avg, lam_sum
-        if best_t < T:  # lam_{best_t}, formed again over lam_T
-            lam.fill(1.0 / n)
-            M = M0
-            for t in range(1, best_t + 1):
-                M = _entropic_pass(X, M, lam, k, eta, moment=t < best_t)[1]
-        chosen = replace(chosen, lam=lam)
-    return pca, trace, record, selected, chosen
+    average = selected == "average"
+    form = partial(_replayed_lambda, X, k, eta, T if average else best_t, average)
+    return pca, trace, avg.record(T, chosen), selected, chosen, form
+
+
+def _replayed_lambda(X, k, eta, t, average=False):
+    """lam_t, formed again by re-running the first t passes of
+    _entropic_steps from uniform weights, bit for bit the loop's; with
+    average, the mean of lam_1..lam_t."""
+    lam = np.full(X.n, 1.0 / X.n)
+    mean = np.zeros(X.n) if average else None
+    M = uniform_moment_matrix(X)
+    for step in range(1, t + 1):
+        M = _entropic_pass(X, top_k_eigenpairs(M, k), lam, eta, moment=step < t)[1]
+        if average:
+            mean += lam
+    if average:
+        mean /= t
+        return mean
+    return lam

@@ -26,7 +26,10 @@ _GATHER_ENTRIES pairs at a time. ``moment`` scatters w / D of those
 pairs into the block C[a:b, a+1:], adds its row and column sums to deg
 and writes the rows a..b-1 of C P_c. One h x (r - 1) triangular template,
 sliced per block, does the gather and the scatter. A call's working set
-is one block besides its length-n input or output.
+is one block besides its length-n input or output. The ascent's walk
+(``_sq_proj_blocks`` given weights) does both in one pass: once a block's
+pairs of s are read, and their weights stepped, the block's Gram buffer
+takes its C.
 
 Both forms lose digits in proportion to kappa_ij^2, kappa_ij = max(|p_i -
 m|, |p_j - m|) / ||p_i - p_j||: s and M are off by about kappa^2 u, u the
@@ -200,17 +203,28 @@ class PairDifferenceSet(DirectionSet):
             yield a, b, slice(self._starts[a], self._starts[b]), T[: b - a, : r - 1 - a]
 
     def moment(self, w) -> np.ndarray:
-        Pc = self._centred
-        deg = np.zeros(Pc.shape[0])
-        CP = np.empty((Pc.shape[0] - 1, Pc.shape[1]))  # C P_c without its zero last row
+        r, d = self._centred.shape
+        deg, CP = np.zeros(r), np.empty((r - 1, d))  # C P_c without its zero last row
         buf = np.empty(self._template.size)
-        for a, b, pairs, T in self._row_blocks():
-            C = buf[: T.size].reshape(T.shape)
-            C.fill(0.0)
-            C[T] = w[pairs] / self._sq[pairs]
-            deg[a:b] += C.sum(axis=1)
-            deg[a + 1 :] += C.sum(axis=0)
-            np.matmul(C, Pc[a + 1 :], out=CP[a:b])
+        for block in self._row_blocks():
+            self._laplacian_block(buf, *block, w, deg, CP)
+        return self._laplacian_moment(deg, CP, w)
+
+    def _laplacian_block(self, buf, a, b, pairs, T, w, deg, CP):
+        """Scatter w / D of the pairs of rows a..b-1 into C[a:b, a+1:], over
+        buf, add its row and column sums to deg, and write the rows a..b-1
+        of C P_c."""
+        C = buf[: T.size].reshape(T.shape)
+        C.fill(0.0)
+        C[T] = w[pairs] / self._sq[pairs]
+        deg[a:b] += C.sum(axis=1)
+        deg[a + 1 :] += C.sum(axis=0)
+        np.matmul(C, self._centred[a + 1 :], out=CP[a:b])
+
+    def _laplacian_moment(self, deg, CP, w):
+        """M(w) = A'A - (G + G') from the summed deg and C P_c, plus the
+        exact-route rows' moment."""
+        Pc = self._centred
         A = Pc * np.sqrt(deg)[:, None]
         G = Pc[:-1].T @ CP
         M = A.T @ A
@@ -219,17 +233,19 @@ class PairDifferenceSet(DirectionSet):
             M += row_moment(self._exact, w[self._labels])
         return M
 
-    def sq_proj(self, V, out=None) -> np.ndarray:
-        s = np.empty(self.n) if out is None else out
-        for _ in self._sq_proj_blocks(V, s):
-            pass
+    def sq_proj(self, V) -> np.ndarray:
+        s = np.empty(self.n)
+        for lo, block in self._sq_proj_blocks(V):
+            s[lo : lo + block.size] = block
         return s
 
-    def _sq_proj_blocks(self, V, out=None):
+    def _sq_proj_blocks(self, V, w=None, M=None):
         """(lo, s[lo:hi]) for each run of rows of a block of the triangle
         whose pairs, lo..hi-1 in row-major order, are at most
-        _GATHER_ENTRIES: written into out[lo:hi], or over the gathered
-        entries when out is None."""
+        _GATHER_ENTRIES. Given w and M, once a block's runs are read, its
+        Gram buffer takes the block's C = w / D (_laplacian_block), and at
+        the end M(w) is added into M, as DirectionSet._sq_proj_blocks
+        says."""
         Y = self._centred @ V
         q = np.einsum("ij,ij->i", Y, Y)[:, None]
         one = np.ones_like(q)
@@ -238,6 +254,9 @@ class PairDifferenceSet(DirectionSet):
         labels = self._labels
         exact = row_sq_proj(self._exact, V) if labels.size else None
         buf = np.empty(self._template.size)
+        if M is not None:
+            r, d = self._centred.shape
+            deg, CP = np.zeros(r), np.empty((r - 1, d))
         # Only exact-route pairs (D_ij = inf) can overflow or give inf - inf
         # here, and their entries are replaced below.
         ignore = dict(over="ignore", invalid="ignore")
@@ -251,13 +270,17 @@ class PairDifferenceSet(DirectionSet):
                     g = G[i : i + h][T[i : i + h]]
                     np.maximum(g, 0.0, out=g)
                     hi = lo + g.size
-                    s = np.divide(g, self._sq[lo:hi], out=g if out is None else out[lo:hi])
+                    s = np.divide(g, self._sq[lo:hi], out=g)
                 del g  # freed before the next gather
                 if exact is not None:
                     e, f = np.searchsorted(labels, (lo, hi))
                     s[labels[e:f] - lo] = exact[e:f]
                 yield lo, s
                 lo = hi
+            if M is not None:
+                self._laplacian_block(buf, a, b, pairs, T, w, deg, CP)
+        if M is not None:
+            M += self._laplacian_moment(deg, CP, w)
 
     def rows(self, idx) -> np.ndarray:
         """The directions of the given row indices, as a new dense array."""

@@ -109,27 +109,33 @@ def row_moment(Xm, w) -> np.ndarray:
     return np.zeros((d, d)) if M is None else M
 
 
-def _row_sq_proj_blocks(Xm, V, out=None):
+def _row_sq_proj_blocks(Xm, V, w=None, M=None):
     """(a, s[a:a + h]) for each block of h rows of Xm, of at most
     _ROW_BLOCK_ENTRIES entries: s_i = ||V'x_i||^2 as the row sums of the
-    squares of the block's Xm @ V, written into out[a:a + h], or into a new
-    vector when out is None."""
+    squares of the block's Xm @ V. Given w and M, a d x d float64 array,
+    each block's A'A, A = diag(sqrt(w)) X over its rows, is then added into
+    M, from the weights as the caller leaves them once it has read the
+    block: a caller may step the block's weights in place, and a zero M
+    ends as M(w) of the stepped weights, summed as row_moment sums it."""
     h = max(1, _ROW_BLOCK_ENTRIES // Xm.shape[1])
     for a in range(0, Xm.shape[0], h):
         Y = Xm[a : a + h] @ V
-        s = np.einsum("ij,ij->i", Y, Y, out=None if out is None else out[a : a + h])
+        s = np.einsum("ij,ij->i", Y, Y)
         del Y  # freed before the next block's product
         yield a, s
+        if M is not None:
+            A = Xm[a : a + h] * np.sqrt(w[a : a + h])[:, None]
+            M += A.T @ A
+            del A
 
 
-def row_sq_proj(Xm, V, out=None) -> np.ndarray:
+def row_sq_proj(Xm, V) -> np.ndarray:
     """s_i = ||V'x_i||^2 over the rows of Xm, block by block
-    (_row_sq_proj_blocks), written into out, a float64 vector of one entry
-    per row, or into a new vector, and returned. A call's working set is
-    one block's product."""
-    s = np.empty(Xm.shape[0]) if out is None else out
-    for _ in _row_sq_proj_blocks(Xm, V, s):
-        pass
+    (_row_sq_proj_blocks), as a new vector. A call's working set is one
+    block's product."""
+    s = np.empty(Xm.shape[0])
+    for a, block in _row_sq_proj_blocks(Xm, V):
+        s[a : a + block.size] = block
     return s
 
 
@@ -214,7 +220,8 @@ class DirectionSet(ABC):
     """n unit directions x_1..x_n in R^d, as the solver and the bounds read
     them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)`` and
     ``sq_proj(V)``, which ``primal_distortion`` and the ascent read block
-    by block (``_sq_proj_blocks``). ``UnitVectorSet`` holds the rows;
+    by block (``_sq_proj_blocks``, whose walk also sums the moment of the
+    weights the ascent steps). ``UnitVectorSet`` holds the rows;
     ``pairs.PairDifferenceSet`` holds the points whose normalised
     differences they are. The methods check nothing: callers check their
     arguments once, at the API boundary.
@@ -245,15 +252,22 @@ class DirectionSet(ABC):
         view."""
 
     @abstractmethod
-    def sq_proj(self, V, out=None) -> np.ndarray:
-        """s_i = ||V'x_i||^2 for a d x k array V, written into out, a
-        writable length-n float64 vector, or into a new one, and returned."""
+    def sq_proj(self, V) -> np.ndarray:
+        """s_i = ||V'x_i||^2 for a d x k array V, as a new length-n float64
+        vector."""
 
-    def _sq_proj_blocks(self, V):
+    def _sq_proj_blocks(self, V, w=None, M=None):
         """(a, s[a:b]) for consecutive blocks of s = sq_proj(V), each a
-        vector the next block may reuse or overwrite. The sets of this
-        package compute them block by block; this default yields s whole."""
+        vector the caller may overwrite. Given a length-n float64 vector w
+        and a zero d x d float64 array M, the same walk adds M(w) into M,
+        each block's share summed once the caller has read the block: a
+        caller may step the block's weights in place, and M is then the
+        moment of the stepped weights. The sets of this package compute
+        both block by block; this default yields s whole, then adds
+        moment(w)."""
         yield 0, self.sq_proj(V)
+        if M is not None:
+            M += self.moment(w)
 
     def fingerprint(self) -> str:
         """matrix_fingerprint of the n x d matrix of the directions."""
@@ -307,11 +321,11 @@ class UnitVectorSet(DirectionSet):
     def moment(self, w) -> np.ndarray:
         return row_moment(self.X, w)
 
-    def sq_proj(self, V, out=None) -> np.ndarray:
-        return row_sq_proj(self.X, V, out)
+    def sq_proj(self, V) -> np.ndarray:
+        return row_sq_proj(self.X, V)
 
-    def _sq_proj_blocks(self, V):
-        return _row_sq_proj_blocks(self.X, V)
+    def _sq_proj_blocks(self, V, w=None, M=None):
+        return _row_sq_proj_blocks(self.X, V, w, M)
 
 
 @dataclass(frozen=True)

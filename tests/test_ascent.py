@@ -516,28 +516,42 @@ def test_first_step_follows_the_entropic_rule():
 def test_one_projection_product_per_evaluated_iterate(monkeypatch):
     calls = []
     for cls in (ie.UnitVectorSet, ie.PairDifferenceSet):
-        for kernel in ("sq_proj", "_sq_proj_blocks"):
+        for kernel in ("moment", "sq_proj", "_sq_proj_blocks"):
             monkeypatch.setattr(
                 cls,
                 kernel,
-                lambda X, V, *out, real=getattr(cls, kernel), name=kernel: (
-                    calls.append(name) or real(X, V, *out)
+                lambda X, *args, real=getattr(cls, kernel), name=kernel: (
+                    calls.append(name) or real(X, *args)
                 ),
             )
     rng = np.random.default_rng(45)
     T = 7
-    rows = unit_rows(rng, 20, 4)
-    pairs = ie.pairwise_unit_differences(ie.PointSet(rng.standard_normal((8, 4))))
-    # The paper's rule reads each iterate's s whole, through sq_proj; the
-    # entropic rule block by block, through _sq_proj_blocks.
+    rows = unit_rows(rng, 20, 4).X
+    points = rng.standard_normal((8, 4))
+    fresh_sets = (
+        lambda: ie.UnitVectorSet(rows.copy()),
+        lambda: ie.pairwise_unit_differences(ie.PointSet(points)),
+    )
+    # The paper's rule reads each iterate's s whole, through sq_proj, and
+    # builds each moment; the entropic rule reads s block by block, through
+    # _sq_proj_blocks, whose walks sum the steps' moments.
     kernels = ((ascent._paper_rule_ascent, "sq_proj"), (ie.run_projected_ascent, "_sq_proj_blocks"))
     for run, read in kernels:
-        for units in (rows, pairs):
+        for fresh in fresh_sets:
+            X = fresh()
             calls.clear()
-            res = run(units, 2, ie.AscentConfig(T=T))
+            run(X, 2, ie.AscentConfig(T=T))
             assert calls.count(read) == T + 2  # t = 0, T steps, the average
-            if read == "_sq_proj_blocks":  # t = 0 is selected, so no step's lambda is formed again
-                assert "sq_proj" not in calls and res.distortion == res.pca_distortion
+            if read == "sq_proj":
+                assert calls.count("moment") == T + 2
+                continue
+            # M(uniform) is the one moment built, and the set keeps it: a
+            # second run builds none. No replay pass runs, for
+            # lambda_selected is not read.
+            assert calls.count("moment") == 1 and "sq_proj" not in calls
+            calls.clear()
+            run(X, 2, ie.AscentConfig(T=T))
+            assert calls == ["_sq_proj_blocks"] * (T + 2)
 
 
 def test_a_run_builds_no_distortion_vector():
@@ -585,24 +599,22 @@ def _solve_peak(P, k, cfg=ie.AscentConfig(T=3)):
     return peak / (8 * pairs.n), res
 
 
-# A pairwise solve holds two length-n vectors: lambda and the running sum.
-# The kernels' blocks of 2^16 entries and gathers of 2^15 are about a
-# quarter of a vector more at 499,500 pairs.
-PAIRWISE_SOLVE_PEAK = 2.7
+# A pairwise solve holds one length-n vector, lambda. The kernels' blocks
+# of 2^16 entries and gathers of 2^15 are about 0.4 of a vector more at
+# 499,500 pairs.
+PAIRWISE_SOLVE_PEAK = 1.6
 
 
-def test_a_pairwise_solve_holds_two_length_n_vectors():
+def test_a_pairwise_solve_holds_one_length_n_vector():
     # 1,000 points in 20 anisotropic clusters: 499,500 pairs, whose length-n
-    # vectors (4 MB each) outweigh the kernels' 2^16-entry block buffers.
+    # vector (4 MB) outweighs the kernels' 2^16-entry block buffers.
     rng = np.random.default_rng(1)
     centres = 3.0 * np.random.default_rng(7).standard_normal((20, 10))
     P = centres[rng.integers(0, 20, 1000)] + rng.standard_normal((1000, 10)) * 0.9 ** np.arange(10)
     peak, res = _solve_peak(P, 3)
-    # No step beats t = 0, whose weights are a zero-stride view, so no
-    # spent lambda is kept as the best's.
-    assert all(r.best_epsilon == res.trace[0].primal_epsilon for r in res.trace)
-    # The entropic loop peaks at 2.30 vectors here. The paper's rule, kept
-    # as a dense reference with a full sort, peaks at 8.03.
+    assert all(r.best_epsilon == res.trace[0].primal_epsilon for r in res.trace)  # t = 0 is best
+    # The entropic loop peaks at 1.37 vectors here. The paper's rule,
+    # kept as a dense reference with a full sort, peaks at 8.03.
     assert peak <= PAIRWISE_SOLVE_PEAK
 
 
@@ -617,80 +629,108 @@ def test_the_papers_rule_selects_a_spent_step_of_a_pairwise_solve():
     assert res.selected_iterate == "best" and res.distortion.epsilon == eps[2]
 
 
+def _recorded_passes(monkeypatch):
+    """The list to which each _entropic_pass appends a copy of the weights
+    it stepped to and the moment it returned."""
+    passes = []
+    real = ascent._entropic_pass
+
+    def recording(X, state, lam, eta, moment=True):
+        it, M = real(X, state, lam, eta, moment)
+        passes.append((lam.copy(), M))
+        return it, M
+
+    monkeypatch.setattr(ascent, "_entropic_pass", recording)
+    return passes
+
+
 def test_an_entropic_solve_whose_best_is_a_spent_step_forms_its_lambda_again(monkeypatch):
     # CI's step-best layout with a step of 1: step 2 is the best of T = 3
     # and beats the average, so its lambda, spent by step 3, is formed
-    # again after the loop.
+    # again when it is read.
     P = _clustered_points(1000)
     cfg = ie.AscentConfig(T=3, step_size=1.0)
     peak, res = _solve_peak(P, 2, cfg)
     eps = [r.primal_epsilon for r in res.trace]
     assert eps[2] < min(eps[0], eps[1], eps[3])
     assert res.selected_iterate == "best" and res.distortion.epsilon == eps[2]
-    # Two vectors, lambda and the running sum, as in a run whose best is
-    # t = 0: it peaks at 2.30.
+    # One vector, lambda, as in a run whose best is t = 0.
     assert peak <= PAIRWISE_SOLVE_PEAK
 
-    # The returned lambda is bitwise the one that built step 2's moment.
-    moments = []
-    real = ie.PairDifferenceSet.moment
-
-    def recording(X, w):
-        moments.append(np.array(w))
-        return real(X, w)
-
-    monkeypatch.setattr(ie.PairDifferenceSet, "moment", recording)
+    passes = _recorded_passes(monkeypatch)
     again = ie.run_projected_ascent(ie.pairwise_unit_differences(ie.PointSet(P)), 2, cfg)
-    # M(uniform) of the new set, steps 1-3, the average, then step 1 again:
-    # the rebuild's first pass reads the kept M(uniform), and its last
-    # builds no moment.
-    assert len(moments) == 6 and moments[5].tobytes() == moments[1].tobytes()
-    assert again.lambda_selected.lam.tobytes() == moments[2].tobytes()
-    assert again.lambda_selected.lam.tobytes() == res.lambda_selected.lam.tobytes()
+    assert len(passes) == 3  # lambda_1..lambda_3, and no replay before the read
+    lam = again.lambda_selected.lam
+    # The read replays the passes that form lambda_1 and lambda_2, the
+    # second without its moment, and gives back the loop's lambda_2.
+    assert [M is not None for _, M in passes] == [True] * 4 + [False]
+    assert lam.tobytes() == passes[1][0].tobytes() == passes[4][0].tobytes()
+    assert again.lambda_selected is again.lambda_selected  # formed once
+    assert res.lambda_selected.lam.tobytes() == lam.tobytes()
     assert again.basis.V.tobytes() == res.basis.V.tobytes()
 
 
 def test_an_entropic_rows_solve_forms_its_spent_best_again_bit_for_bit(monkeypatch):
-    # Step 2 of 4 is selected on these rows: the rebuild replays passes 1
-    # and 2, the second without its moment, and must give back the loop's
-    # lambda_2.
+    # Step 2 of 4 is selected on these rows: reading lambda_selected
+    # replays passes 1 and 2, the second without its moment, and must give
+    # back the loop's lambda_2.
     X = clustered_rows(np.random.default_rng(40), 300, 8)
-    passes = []
-    real = ascent._entropic_pass
-
-    def recording(X, M, lam, k, eta, moment=True):
-        out = real(X, M, lam, k, eta, moment)
-        passes.append((lam.copy(), moment))
-        return out
-
-    monkeypatch.setattr(ascent, "_entropic_pass", recording)
+    passes = _recorded_passes(monkeypatch)
     res = ie.run_projected_ascent(X, 2, ie.AscentConfig(T=4, step_size=4.0))
     eps = [r.primal_epsilon for r in res.trace]
     assert res.selected_iterate == "best"
     assert res.distortion.epsilon == eps[2] < min(eps[:2] + eps[3:])
-    # The loop's passes at t = 0..3 form lambda_1..lambda_4; the rebuild's
-    # form lambda_1 and lambda_2.
-    assert [m for _, m in passes] == [True] * 5 + [False]
+    assert len(passes) == 4  # the loop's passes at t = 0..3 form lambda_1..lambda_4
+    lam = res.lambda_selected.lam
+    assert [M is not None for _, M in passes] == [True] * 5 + [False]
     assert passes[4][0].tobytes() == passes[0][0].tobytes()
-    assert res.lambda_selected.lam.tobytes() == passes[1][0].tobytes() == passes[5][0].tobytes()
+    assert lam.tobytes() == passes[1][0].tobytes() == passes[5][0].tobytes()
 
 
-def test_an_entropic_solve_whose_best_is_the_last_step_keeps_its_lambda(monkeypatch):
+def test_an_entropic_solve_whose_best_is_the_last_step_forms_its_lambda_on_request(monkeypatch):
     rng = np.random.default_rng(47)
     centres = 3.0 * rng.standard_normal((4, 5))
     P = centres[rng.integers(0, 4, 60)] + 0.5 * rng.standard_normal((60, 5))
     X = ie.pairwise_unit_differences(ie.PointSet(P))
-    ie.uniform_moment_matrix(X)  # kept: the run builds only its steps' moments
-    moments = []
-    real = ie.PairDifferenceSet.moment
-    monkeypatch.setattr(
-        ie.PairDifferenceSet, "moment", lambda X, w: moments.append(np.array(w)) or real(X, w)
-    )
+    passes = _recorded_passes(monkeypatch)
     res = ie.run_projected_ascent(X, 2, ie.AscentConfig(T=4, step_size=1.0))
     eps = [r.primal_epsilon for r in res.trace]
     assert res.selected_iterate == "best" and res.distortion.epsilon == eps[4] < min(eps[:4])
-    assert len(moments) == 5  # steps 1-4 and the average: nothing is formed again
-    assert res.lambda_selected.lam.tobytes() == moments[3].tobytes()
+    # The loop's last pass steps to lambda_4 and forms no lambda_5.
+    assert len(passes) == 4
+    lam = res.lambda_selected.lam
+    assert [M is not None for _, M in passes] == [True] * 7 + [False]
+    assert lam.tobytes() == passes[3][0].tobytes() == passes[7][0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "X, T",
+    [
+        (clustered_rows(np.random.default_rng(40), 300, 8), 30),
+        (ie.pairwise_unit_differences(ie.PointSet(_clustered_points(60))), 20),
+    ],
+    ids=["rows", "pairs"],
+)
+def test_the_average_lambda_is_the_mean_of_the_replayed_steps(monkeypatch, X, T):
+    passes = _recorded_passes(monkeypatch)
+    res = ie.run_projected_ascent(X, 2, ie.AscentConfig(T=T))
+    assert res.selected_iterate == "average" and len(passes) == T
+    lam = res.lambda_selected.lam
+    # The read replays all T passes, bit for bit the loop's, and averages
+    # their weights.
+    assert len(passes) == 2 * T
+    assert all(passes[T + t][0].tobytes() == passes[t][0].tobytes() for t in range(T))
+    assert lam.tobytes() == (sum(p[0] for p in passes[:T]) / T).tobytes()
+    # The run's average moment, the mean of the steps' moments, is M of
+    # that mean, as M is linear in lambda.
+    mean = sum(M for _, M in passes[:T]) / T
+    assert np.abs(X.moment(lam) - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
+def test_an_evaluation_only_run_forms_uniform_weights():
+    X = clustered_rows(np.random.default_rng(40), 30, 4)
+    res = ie.run_projected_ascent(X, 2, ie.AscentConfig(T=0, step_size=1.0))
+    assert res.lambda_selected.lam.tobytes() == np.full(30, 1.0 / 30).tobytes()
 
 
 _FAULTS = """
@@ -709,11 +749,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mmap threshold")
 def test_a_pairwise_step_maps_no_fresh_pages():
-    # The loop frees one length-n vector before its steps, which raises
-    # glibc's mmap threshold above the kernels' block temporaries; without
-    # that free every step maps them afresh. On 499,500 pairs, in fresh
-    # processes, ten more steps add 0-130 minor faults, and 4,700 without
-    # the free.
+    # Before lambda is allocated, the loop frees an untouched vector a
+    # little shorter than it, which raises glibc's mmap threshold above the
+    # kernels' block temporaries; without that free every step maps them
+    # afresh. On 499,500 pairs, in fresh processes, ten more steps add 1
+    # minor fault, and 4,060 without the free.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
@@ -753,8 +793,13 @@ def test_the_blockwise_entropic_step_is_bitwise_the_dense_one(case):
         mp.setattr(types_module, "_ROW_BLOCK_ENTRIES", entries)
         w = lam * np.exp(-eta * np.clip(X.sq_proj(V), 0.0, 1.0))
         want = w / w.sum()
-        got = lam.copy()
-        assert ascent._blockwise_worst(X._sq_proj_blocks(V), got, eta) == ie.primal_distortion(X, V)
+        got, M = lam.copy(), np.zeros((X.d, X.d))
+        worst = ascent._blockwise_worst(X._sq_proj_blocks(V, got, M), got, eta)
+        assert worst == ie.primal_distortion(X, V)
+        # The walk's moment is that of the weights it stepped.
+        want_M = X.moment(got) / got.sum()
+        M /= got.sum()
+        assert np.abs(M - want_M).max() <= 1e-12 * np.abs(want_M).max()
         got /= got.sum()
         assert got.tobytes() == want.tobytes()
 

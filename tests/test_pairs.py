@@ -360,7 +360,7 @@ def test_memory_per_pair():
         tracemalloc.stop()
     assert res.fingerprint == pairs.fingerprint()
     assert build_peak <= 32 * n  # the dense build needs 8 d = 320 B/pair
-    # The run peaks at 49.8 B/pair: the pair set's 8 B/pair, the loop's two
-    # length-n vectors and a block of the kernels, 11.7 B/pair at this n.
-    # The bound leaves room for one more length-n float vector.
-    assert run_peak <= 61 * n
+    # The run peaks at 43.1 B/pair: the pair set's 8 B/pair, the loop's one
+    # length-n vector and a block of the kernels, 11.7 B/pair at this n.
+    # The bound leaves no room for another length-n float vector.
+    assert run_peak <= 50 * n
