@@ -16,20 +16,20 @@ With the centred points P_c = P - mean(P) and D_ij = ||p_i - p_j||^2:
   A = diag(sqrt(deg)) P_c and G = P_c' C P_c. Both terms are exactly
   symmetric, so M is.
 
-Neither kernel forms an r x r array. Both walk the upper triangle in blocks
-of h rows, about _BLOCK_ENTRIES entries each: rows a..b-1 are paired only
-with the columns a+1..r-1, so the products skip the lower triangle, about
-half of a dense r x r product's work. ``sq_proj`` computes the block
+Both kernels are one walk, ``_sq_proj_blocks``, and neither forms an
+r x r array. The walk takes the upper triangle in blocks of h rows, about
+_BLOCK_ENTRIES entries each: rows a..b-1 are paired only with the columns
+a+1..r-1, so the products skip the lower triangle, about half of a dense
+r x r product's work. Given V, it computes the block
 [Y, |Y|^2, 1][a:b] [-2Y, 1, |Y|^2][a+1:]' and gathers its upper entries,
 the pairs lo..hi-1 of rows a..b-1, a run of rows of at most
-_GATHER_ENTRIES pairs at a time. ``moment`` scatters w / D of those
-pairs into the block C[a:b, a+1:], adds its row and column sums to deg
-and writes the rows a..b-1 of C P_c. One h x (r - 1) triangular template,
-sliced per block, does the gather and the scatter. A call's working set
-is one block besides its length-n input or output. The ascent's walk
-(``_sq_proj_blocks`` given weights) does both in one pass: once a block's
-pairs of s are read, and their weights stepped, the block's Gram buffer
-takes its C.
+_GATHER_ENTRIES pairs at a time. Given weights, once a block's pairs of s
+are read, and their weights stepped, the block's Gram buffer takes w / D
+of those pairs, scattered into the block C[a:b, a+1:]; the walk adds its
+row and column sums to deg and writes the rows a..b-1 of C P_c. One
+h x (r - 1) triangular template, sliced per block, does the gather and
+the scatter. A walk's working set is one block besides its length-n input
+or output.
 
 Both forms lose digits in proportion to kappa_ij^2, kappa_ij = max(|p_i -
 m|, |p_j - m|) / ||p_i - p_j||: s and M are off by about kappa^2 u, u the
@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoincidentPairError, ContractError, ShapeError
-from .types import _BLOCK_ENTRIES, _TINY, DirectionSet, PointSet, _freeze, row_moment, row_sq_proj
+from .types import _BLOCK_ENTRIES, _TINY, DirectionSet, PointSet, UnitVectorSet, _freeze
 
 # sq_proj gathers the upper entries of a block of rows this many at a time,
 # at most: 256 KB of float64.
@@ -142,9 +142,9 @@ class PairDifferenceSet(DirectionSet):
         self.points = points
         self._centred = _freeze(centred)
         self._sq = _freeze(D)
-        # The exact-route pairs' rows in the set.
+        # The exact-route pairs' rows in the set, and those rows.
         self._labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
-        self._exact = np.concatenate(rows) if rows else np.empty((0, P.shape[1]))
+        self._exact = UnitVectorSet(np.concatenate(rows)) if rows else None
         sizes = np.arange(r - 1, -1, -1)
         # The row of pair (i, i + 1) for i < r - 1, then the pair count.
         self._starts = np.cumsum(sizes) - sizes
@@ -169,7 +169,7 @@ class PairDifferenceSet(DirectionSet):
             np.divide(diffs, np.sqrt(self._sq[a:b])[:, None], out=diffs)
             if labels.size:
                 lo, hi = np.searchsorted(labels, (a, b))
-                diffs[labels[lo:hi] - a] = self._exact[lo:hi]
+                diffs[labels[lo:hi] - a] = self._exact.X[lo:hi]
             yield diffs
 
     @cached_property
@@ -192,95 +192,65 @@ class PairDifferenceSet(DirectionSet):
         h = max(1, min(r - 1, _BLOCK_ENTRIES // (r - 1)))
         return np.triu(np.ones((h, r - 1), dtype=bool))
 
-    def _row_blocks(self):
-        """(a, b, pairs, T) for each block of rows a..b-1: the slice of its
-        pairs in row-major order and T, the template slice that places them
-        in the block C[a:b, a+1:]."""
-        T = self._template
-        h, r = T.shape[0], self.points.r
-        for a in range(0, r - 1, h):
-            b = min(a + h, r - 1)
-            yield a, b, slice(self._starts[a], self._starts[b]), T[: b - a, : r - 1 - a]
-
-    def moment(self, w) -> np.ndarray:
-        r, d = self._centred.shape
-        deg, CP = np.zeros(r), np.empty((r - 1, d))  # C P_c without its zero last row
-        buf = np.empty(self._template.size)
-        for block in self._row_blocks():
-            self._laplacian_block(buf, *block, w, deg, CP)
-        return self._laplacian_moment(deg, CP, w)
-
-    def _laplacian_block(self, buf, a, b, pairs, T, w, deg, CP):
-        """Scatter w / D of the pairs of rows a..b-1 into C[a:b, a+1:], over
-        buf, add its row and column sums to deg, and write the rows a..b-1
-        of C P_c."""
-        C = buf[: T.size].reshape(T.shape)
-        C.fill(0.0)
-        C[T] = w[pairs] / self._sq[pairs]
-        deg[a:b] += C.sum(axis=1)
-        deg[a + 1 :] += C.sum(axis=0)
-        np.matmul(C, self._centred[a + 1 :], out=CP[a:b])
-
-    def _laplacian_moment(self, deg, CP, w):
-        """M(w) = A'A - (G + G') from the summed deg and C P_c, plus the
-        exact-route rows' moment."""
-        Pc = self._centred
-        A = Pc * np.sqrt(deg)[:, None]
-        G = Pc[:-1].T @ CP
-        M = A.T @ A
-        M -= G + G.T
-        if self._labels.size:
-            M += row_moment(self._exact, w[self._labels])
-        return M
-
-    def sq_proj(self, V) -> np.ndarray:
-        s = np.empty(self.n)
-        for lo, block in self._sq_proj_blocks(V):
-            s[lo : lo + block.size] = block
-        return s
-
     def _sq_proj_blocks(self, V, w=None, M=None):
-        """(lo, s[lo:hi]) for each run of rows of a block of the triangle
-        whose pairs, lo..hi-1 in row-major order, are at most
-        _GATHER_ENTRIES. Given w and M, once a block's runs are read, its
-        Gram buffer takes the block's C = w / D (_laplacian_block), and at
-        the end M(w) is added into M, as DirectionSet._sq_proj_blocks
-        says."""
-        Y = self._centred @ V
-        q = np.einsum("ij,ij->i", Y, Y)[:, None]
-        one = np.ones_like(q)
-        L = np.hstack([Y, q, one])
-        R = np.hstack([-2.0 * Y, one, q]).T
-        labels = self._labels
-        exact = row_sq_proj(self._exact, V) if labels.size else None
-        buf = np.empty(self._template.size)
+        """The walk of DirectionSet._sq_proj_blocks, over the blocks of rows
+        a..b-1 of the triangle, as many rows as _template has. Given V, it
+        yields (lo, s[lo:hi]) for each run of rows of a block whose pairs,
+        lo..hi-1 in row-major order, are at most _GATHER_ENTRIES. Given w
+        and M, once a block's runs are read, its Gram buffer takes the
+        block's C = w / D, and at the end M(w) = A'A - (G + G'), plus the
+        exact-route rows' moment, is added into M."""
+        Pc, labels, template = self._centred, self._labels, self._template
+        r, d = Pc.shape
+        if V is not None:
+            Y = Pc @ V
+            q = np.einsum("ij,ij->i", Y, Y)[:, None]
+            one = np.ones_like(q)
+            L = np.hstack([Y, q, one])
+            R = np.hstack([-2.0 * Y, one, q]).T
+            exact = self._exact.sq_proj(V) if labels.size else None
+        buf = np.empty(template.size)
         if M is not None:
-            r, d = self._centred.shape
-            deg, CP = np.zeros(r), np.empty((r - 1, d))
+            deg, CP = np.zeros(r), np.empty((r - 1, d))  # C P_c without its zero last row
         # Only exact-route pairs (D_ij = inf) can overflow or give inf - inf
         # here, and their entries are replaced below.
         ignore = dict(over="ignore", invalid="ignore")
-        for a, b, pairs, T in self._row_blocks():
-            with np.errstate(**ignore):
-                G = np.matmul(L[a:b], R[:, a + 1 :], out=buf[: T.size].reshape(T.shape))
-            h = max(1, _GATHER_ENTRIES // T.shape[1])
-            lo = pairs.start
-            for i in range(0, b - a, h):
+        for a in range(0, r - 1, template.shape[0]):
+            b = min(a + template.shape[0], r - 1)
+            start, stop = self._starts[a], self._starts[b]
+            T = template[: b - a, : r - 1 - a]  # places the block's pairs in C[a:b, a+1:]
+            G = buf[: T.size].reshape(T.shape)
+            if V is not None:
                 with np.errstate(**ignore):
-                    g = G[i : i + h][T[i : i + h]]
-                    np.maximum(g, 0.0, out=g)
-                    hi = lo + g.size
-                    s = np.divide(g, self._sq[lo:hi], out=g)
-                del g  # freed before the next gather
-                if exact is not None:
-                    e, f = np.searchsorted(labels, (lo, hi))
-                    s[labels[e:f] - lo] = exact[e:f]
-                yield lo, s
-                lo = hi
-            if M is not None:
-                self._laplacian_block(buf, a, b, pairs, T, w, deg, CP)
+                    np.matmul(L[a:b], R[:, a + 1 :], out=G)
+                h = max(1, _GATHER_ENTRIES // T.shape[1])
+                lo = start
+                for i in range(0, b - a, h):
+                    with np.errstate(**ignore):
+                        g = G[i : i + h][T[i : i + h]]
+                        np.maximum(g, 0.0, out=g)
+                        hi = lo + g.size
+                        s = np.divide(g, self._sq[lo:hi], out=g)
+                    del g  # freed before the next gather
+                    if exact is not None:
+                        e, f = np.searchsorted(labels, (lo, hi))
+                        s[labels[e:f] - lo] = exact[e:f]
+                    yield lo, s
+                    lo = hi
+            if M is not None:  # G becomes the block's C
+                G.fill(0.0)
+                G[T] = w[start:stop] / self._sq[start:stop]
+                deg[a:b] += G.sum(axis=1)
+                deg[a + 1 :] += G.sum(axis=0)
+                np.matmul(G, Pc[a + 1 :], out=CP[a:b])
         if M is not None:
-            M += self._laplacian_moment(deg, CP, w)
+            A = Pc * np.sqrt(deg)[:, None]
+            G = Pc[:-1].T @ CP
+            moment = A.T @ A
+            moment -= G + G.T
+            if labels.size:
+                moment += self._exact.moment(w[labels])
+            M += moment
 
     def rows(self, idx) -> np.ndarray:
         """The directions of the given row indices, as a new dense array."""

@@ -2,16 +2,17 @@
 
 M(lambda) = sum_i lambda_i x_i x_i' is the d x d PSD matrix whose top-k
 eigenpairs drive both the dual objective and the recovered embedding. n can
-be huge, but dense rows build M from the rows of positive weight only, in
-blocks of at most 2^18 entries (``types.row_moment``), and pair directions
-build it from an r x r Laplacian of their points, in blocks of pairs.
-Everything after it works on the d x d matrix, where a dense symmetric
-eigendecomposition is the right tool.
+be huge, but each direction set sums M in the walk of its blocks that also
+projects them (``DirectionSet._sq_proj_blocks``): dense rows in blocks of
+at most 2^18 entries, pair directions from an r x r Laplacian of their
+points, in blocks of pairs. Everything after it works on the d x d
+matrix, where a dense symmetric eigendecomposition is the right tool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .types import (
     as_unit_vector_set,
     check_k,
     first_bad_weight,
-    row_moment,
+    _row_sq_proj_blocks,
+    _walked_moment,
     weights_vector,
 )
 
@@ -53,24 +55,24 @@ def weighted_moment_matrix(X, w) -> np.ndarray:
     """M = sum_i w_i x_i x_i', a d x d PSD matrix.
 
     The weights must be nonnegative but need not sum to 1; a negative or
-    NaN weight raises ValueError naming its 1-based index. Only the rows of
-    positive weight are read: a zero-weight row adds exactly 0 to M. They
-    are taken in order, in blocks of at most 2^18 entries, and M is the
-    first block's A'A plus the others' in order, A = diag(sqrt(w)) X over
-    the block's rows. So time and temporary memory follow the support of w,
-    and the working set is one block, not a copy of the kept rows. When
-    the kept rows fit in one block, M is bit for bit the single product
-    A'A over all of them. numpy computes each A'A with BLAS syrk, which
-    fills one triangle and mirrors it, so M is exactly symmetric. For unit
-    rows and simplex weights, trace(M) = 1. M needs no unit rows, so raw
-    rows are taken as they are, unchecked. A DirectionSet builds M itself
+    NaN weight raises ValueError naming its 1-based index. Raw rows are
+    summed by the rows walk: in order, in blocks of at most 2^18 entries,
+    M is the first block's A'A plus the others' in order,
+    A = diag(sqrt(w)) X over the block's rows. Every row is read, so the
+    working set is one block, not a copy of the rows, and when the rows fit
+    in one block M is bit for bit the single product A'A over all of them.
+    numpy computes each A'A with BLAS syrk, which fills one triangle and
+    mirrors it, so M is exactly symmetric. For unit rows and simplex
+    weights, trace(M) = 1. M needs no unit rows, so raw rows are taken as
+    they are, unchecked. A DirectionSet builds M itself
     (``DirectionSet.moment``) once the weights are checked.
     """
     if isinstance(X, DirectionSet):
         n, moment = X.n, X.moment
     else:
         Xm = as_float_matrix(X, "X")
-        n, moment = Xm.shape[0], lambda w: row_moment(Xm, w)
+        rows = partial(_row_sq_proj_blocks, Xm)
+        n, moment = Xm.shape[0], partial(_walked_moment, rows, Xm.shape[1])
     wv = weights_vector(w)
     if wv.ndim != 1 or wv.size != n:
         raise ShapeError(f"weight vector has length {wv.size}, expected {n}")

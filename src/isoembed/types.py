@@ -28,15 +28,15 @@ ROW_NORM_TOL = 1e-9
 SIMPLEX_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 
-# At most this many entries of X per block of row_moment and row_sq_proj:
-# 2 MB of float64. The 42 moments of one 8000 x 300 run (one BLAS thread)
-# took 545, 491, 469 and 437 ms in blocks of 2^16, 2^17, 2^18 and 2^19
-# entries, and 474 ms as one product over a copy of the kept rows; 2^19
-# doubles the working set.
+# At most this many entries of X per block of the rows walk
+# (_row_sq_proj_blocks): 2 MB of float64. The 42 moments of one 8000 x 300
+# run (one BLAS thread) took 545, 491, 469 and 437 ms in blocks of 2^16,
+# 2^17, 2^18 and 2^19 entries, and 474 ms as one product over a copy of the
+# rows; 2^19 doubles the working set.
 _ROW_BLOCK_ENTRIES = 1 << 18
 
-# About this many entries per block of the row norms of _normalize_in_place
-# and of the pair set's row blocks: 512 KB of float64, about an L2 cache.
+# About this many entries per block of _row_norms and of the pair set's row
+# blocks: 512 KB of float64, about an L2 cache.
 _BLOCK_ENTRIES = 1 << 16
 
 # The smallest normal float. A pair whose squared distance is below it is
@@ -83,69 +83,58 @@ def blocks_fingerprint(shape, blocks) -> str:
     return h.hexdigest()
 
 
-def row_moment(Xm, w) -> np.ndarray:
-    """sum_i w_i x_i x_i' over the rows of positive weight only, for
-    nonnegative w (unchecked), in blocks of at most _ROW_BLOCK_ENTRIES
-    entries: the kept rows in order, cut into blocks of h rows, each block
-    A = diag(sqrt(w)) X of its rows. M is the first block's A'A plus the
-    others' in order, so a support of one block gives the single product bit
-    for bit. numpy computes each A'A with BLAS syrk, which fills one
-    triangle and mirrors it, so each term and their sum are exactly
-    symmetric. A call's working set is one block and the index of the
-    kept rows, besides X and w."""
-    idx = np.flatnonzero(w > 0.0)
-    d = Xm.shape[1]
-    h = max(1, _ROW_BLOCK_ENTRIES // d)
-    M = None
-    for a in range(0, idx.size, h):
-        i = idx[a : a + h]
-        A = np.take(Xm, i, axis=0)
-        A *= np.sqrt(w[i])[:, None]
-        if M is None:
-            M = A.T @ A
-        else:
-            M += A.T @ A
-        del A  # freed before the next block's gather
-    return np.zeros((d, d)) if M is None else M
-
-
 def _row_sq_proj_blocks(Xm, V, w=None, M=None):
-    """(a, s[a:a + h]) for each block of h rows of Xm, of at most
-    _ROW_BLOCK_ENTRIES entries: s_i = ||V'x_i||^2 as the row sums of the
-    squares of the block's Xm @ V. Given w and M, a d x d float64 array,
-    each block's A'A, A = diag(sqrt(w)) X over its rows, is then added into
-    M, from the weights as the caller leaves them once it has read the
-    block: a caller may step the block's weights in place, and a zero M
-    ends as M(w) of the stepped weights, summed as row_moment sums it."""
+    """The walk of the rows of Xm (DirectionSet._sq_proj_blocks), in blocks
+    of h rows of at most _ROW_BLOCK_ENTRIES entries: unless V is None,
+    (a, s[a:a + h]) with s_i = ||V'x_i||^2 the row sums of the squares of
+    the block's Xm @ V. Given w and M, the block's A'A, A = diag(sqrt(w)) X
+    over its rows, is then added into M, from the weights as the caller
+    leaves them once it has read the block. numpy computes each A'A with
+    BLAS syrk, which fills one triangle and mirrors it, so each term and
+    their sum are exactly symmetric. A walk's working set is one block."""
     h = max(1, _ROW_BLOCK_ENTRIES // Xm.shape[1])
     for a in range(0, Xm.shape[0], h):
-        Y = Xm[a : a + h] @ V
-        s = np.einsum("ij,ij->i", Y, Y)
-        del Y  # freed before the next block's product
-        yield a, s
+        if V is not None:
+            Y = Xm[a : a + h] @ V
+            s = np.einsum("ij,ij->i", Y, Y)
+            del Y  # freed before the next block's product
+            yield a, s
         if M is not None:
             A = Xm[a : a + h] * np.sqrt(w[a : a + h])[:, None]
             M += A.T @ A
             del A
 
 
-def row_sq_proj(Xm, V) -> np.ndarray:
-    """s_i = ||V'x_i||^2 over the rows of Xm, block by block
-    (_row_sq_proj_blocks), as a new vector. A call's working set is one
-    block's product."""
-    s = np.empty(Xm.shape[0])
-    for a, block in _row_sq_proj_blocks(Xm, V):
-        s[a : a + block.size] = block
-    return s
+def _walked_moment(walk, d, w) -> np.ndarray:
+    """M(w) as a new d x d array, summed into zeros by walk, a
+    _sq_proj_blocks given no V."""
+    M = np.zeros((d, d))
+    for _ in walk(None, w, M):
+        pass  # a walk given no V yields no block
+    return M
+
+
+def _row_norms(X) -> np.ndarray:
+    """np.linalg.norm of each row of X, taken over blocks of rows of about
+    _BLOCK_ENTRIES entries, so the squares formed are one block's, and each
+    norm is bitwise that of one call over X. A row whose squares overflow
+    has an infinite norm, one holding a NaN a NaN norm. The one row-norm
+    rule of check_unit_rows and _normalize_in_place."""
+    h = max(1, _BLOCK_ENTRIES // X.shape[1])
+    norms = np.empty(X.shape[0])
+    with np.errstate(over="ignore"):
+        for a in range(0, len(X), h):
+            norms[a : a + h] = np.linalg.norm(X[a : a + h], axis=1)
+    return norms
 
 
 def check_unit_rows(X) -> float:
     """The largest deviation from 1 of the row norms of X. ContractError when
     it exceeds RENORMALIZE_LIMIT, naming the first row with a non-finite
-    entry or else the worst row, 1-based. One read pass with no temporary
-    of X's size: a NaN or inf entry, or one whose square overflows, leaves
-    its row's norm non-finite."""
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    entry or else the worst row, 1-based. The norms are _row_norms', as
+    _normalize_in_place takes them, so the two agree on which rows are
+    within ROW_NORM_TOL: one read pass with no temporary of X's size."""
+    norms = _row_norms(X)
     dev = np.abs(norms - 1.0)
     worst = dev.max()
     if not worst <= RENORMALIZE_LIMIT:
@@ -171,13 +160,9 @@ def _normalize_in_place(M) -> bool:
     A row holding a NaN or an infinity raises ContractError, and then an
     all-zero row DegenerateVectorError, each naming the first such row
     (1-based), before any division; ShapeError unless M is a non-empty 2-d
-    matrix. The norms are taken over blocks of rows of about _BLOCK_ENTRIES
-    entries, so the squares formed are one block's, and each row's norm is
-    bitwise that of one call over M."""
+    matrix. The norms are _row_norms', which check_unit_rows reads too."""
     as_float_matrix(M, "M")
-    h = max(1, _BLOCK_ENTRIES // M.shape[1])
-    with np.errstate(over="ignore"):  # such a row is rescaled below
-        norms = np.concatenate([np.linalg.norm(M[a : a + h], axis=1) for a in range(0, len(M), h)])
+    norms = _row_norms(M)
     if np.abs(norms - 1.0).max() <= ROW_NORM_TOL:
         return False
     odd = np.flatnonzero(~((norms >= np.sqrt(_TINY)) & (norms < np.inf)))
@@ -219,12 +204,13 @@ class PointSet:
 class DirectionSet(ABC):
     """n unit directions x_1..x_n in R^d, as the solver and the bounds read
     them: only through ``n``, ``d``, ``fingerprint()``, ``moment(w)`` and
-    ``sq_proj(V)``, which ``primal_distortion`` and the ascent read block
-    by block (``_sq_proj_blocks``, whose walk also sums the moment of the
-    weights the ascent steps). ``UnitVectorSet`` holds the rows;
-    ``pairs.PairDifferenceSet`` holds the points whose normalised
-    differences they are. The methods check nothing: callers check their
-    arguments once, at the API boundary.
+    ``sq_proj(V)``. Both kernels are one walk of the set's blocks,
+    ``_sq_proj_blocks``, which ``primal_distortion`` and the ascent read
+    block by block, and which sums the moment of the weights the ascent
+    steps; ``moment`` and ``sq_proj`` only gather what it computes.
+    ``UnitVectorSet`` holds the rows; ``pairs.PairDifferenceSet`` holds the
+    points whose normalised differences they are. The methods check
+    nothing: callers check their arguments once, at the API boundary.
 
     The directions cannot change, so this class computes two values on
     first use and keeps them: the fingerprint, hashed from the blocks of
@@ -246,28 +232,29 @@ class DirectionSet(ABC):
         C-contiguous float64 blocks."""
 
     @abstractmethod
-    def moment(self, w) -> np.ndarray:
-        """M(w) = sum_i w_i x_i x_i', exactly symmetric, for a nonnegative
-        length-n float64 vector w, which may be a read-only or zero-stride
-        view."""
+    def _sq_proj_blocks(self, V, w=None, M=None):
+        """The set's one kernel, a walk over consecutive blocks of its
+        directions. Unless V, a d x k array, is None, it yields (a, s[a:b])
+        for each block of s_i = ||V'x_i||^2, a vector the caller may
+        overwrite. Given a nonnegative length-n float64 vector w, which may
+        be a read-only or zero-stride view, and a d x d float64 array M, it
+        adds M(w) = sum_i w_i x_i x_i', exactly symmetric, into M, each
+        block's share summed once the caller has read the block: a caller
+        may step the block's weights in place, and M then gains the moment
+        of the stepped weights."""
 
-    @abstractmethod
+    def moment(self, w) -> np.ndarray:
+        """M(w) = sum_i w_i x_i x_i' for w as the walk takes it, as a new
+        d x d array: the walk's sum given no V."""
+        return _walked_moment(self._sq_proj_blocks, self.d, w)
+
     def sq_proj(self, V) -> np.ndarray:
         """s_i = ||V'x_i||^2 for a d x k array V, as a new length-n float64
-        vector."""
-
-    def _sq_proj_blocks(self, V, w=None, M=None):
-        """(a, s[a:b]) for consecutive blocks of s = sq_proj(V), each a
-        vector the caller may overwrite. Given a length-n float64 vector w
-        and a zero d x d float64 array M, the same walk adds M(w) into M,
-        each block's share summed once the caller has read the block: a
-        caller may step the block's weights in place, and M is then the
-        moment of the stepped weights. The sets of this package compute
-        both block by block; this default yields s whole, then adds
-        moment(w)."""
-        yield 0, self.sq_proj(V)
-        if M is not None:
-            M += self.moment(w)
+        vector: the walk's blocks in place."""
+        s = np.empty(self.n)
+        for a, block in self._sq_proj_blocks(V):
+            s[a : a + block.size] = block
+        return s
 
     def fingerprint(self) -> str:
         """matrix_fingerprint of the n x d matrix of the directions."""
@@ -317,12 +304,6 @@ class UnitVectorSet(DirectionSet):
 
     def _unit_blocks(self):
         return (self.X,)
-
-    def moment(self, w) -> np.ndarray:
-        return row_moment(self.X, w)
-
-    def sq_proj(self, V) -> np.ndarray:
-        return row_sq_proj(self.X, V)
 
     def _sq_proj_blocks(self, V, w=None, M=None):
         return _row_sq_proj_blocks(self.X, V, w, M)

@@ -514,16 +514,23 @@ def test_first_step_follows_the_entropic_rule():
 
 
 def test_one_projection_product_per_evaluated_iterate(monkeypatch):
+    # Every kernel is a walk of the set's blocks: a walk given V projects
+    # the directions, one given no V only sums a moment. sq_proj gathers a
+    # projecting walk's blocks into one vector.
     calls = []
     for cls in (ie.UnitVectorSet, ie.PairDifferenceSet):
-        for kernel in ("moment", "sq_proj", "_sq_proj_blocks"):
-            monkeypatch.setattr(
-                cls,
-                kernel,
-                lambda X, *args, real=getattr(cls, kernel), name=kernel: (
-                    calls.append(name) or real(X, *args)
-                ),
-            )
+        monkeypatch.setattr(
+            cls,
+            "_sq_proj_blocks",
+            lambda X, V, *args, real=cls._sq_proj_blocks: (
+                calls.append("moment" if V is None else "project") or real(X, V, *args)
+            ),
+        )
+    monkeypatch.setattr(
+        ie.DirectionSet,
+        "sq_proj",
+        lambda X, V, real=ie.DirectionSet.sq_proj: calls.append("sq_proj") or real(X, V),
+    )
     rng = np.random.default_rng(45)
     T = 7
     rows = unit_rows(rng, 20, 4).X
@@ -532,26 +539,25 @@ def test_one_projection_product_per_evaluated_iterate(monkeypatch):
         lambda: ie.UnitVectorSet(rows.copy()),
         lambda: ie.pairwise_unit_differences(ie.PointSet(points)),
     )
-    # The paper's rule reads each iterate's s whole, through sq_proj, and
-    # builds each moment; the entropic rule reads s block by block, through
-    # _sq_proj_blocks, whose walks sum the steps' moments.
-    kernels = ((ascent._paper_rule_ascent, "sq_proj"), (ie.run_projected_ascent, "_sq_proj_blocks"))
-    for run, read in kernels:
+    for run in (ascent._paper_rule_ascent, ie.run_projected_ascent):
         for fresh in fresh_sets:
             X = fresh()
             calls.clear()
             run(X, 2, ie.AscentConfig(T=T))
-            assert calls.count(read) == T + 2  # t = 0, T steps, the average
-            if read == "sq_proj":
-                assert calls.count("moment") == T + 2
+            assert calls.count("project") == T + 2  # t = 0, T steps, the average
+            if run is ascent._paper_rule_ascent:
+                # The paper's rule reads each iterate's s whole and builds
+                # each moment in a walk of its own.
+                assert calls.count("sq_proj") == calls.count("moment") == T + 2
                 continue
-            # M(uniform) is the one moment built, and the set keeps it: a
-            # second run builds none. No replay pass runs, for
-            # lambda_selected is not read.
+            # The entropic rule reads s block by block, and its walks sum
+            # the steps' moments. M(uniform) is the one moment built alone,
+            # and the set keeps it: a second run builds none. No replay
+            # pass runs, for lambda_selected is not read.
             assert calls.count("moment") == 1 and "sq_proj" not in calls
             calls.clear()
             run(X, 2, ie.AscentConfig(T=T))
-            assert calls == ["_sq_proj_blocks"] * (T + 2)
+            assert calls == ["project"] * (T + 2)
 
 
 def test_a_run_builds_no_distortion_vector():
@@ -779,6 +785,10 @@ def entropic_steps(draw):
         X = unit_rows(rng, draw(st.integers(1, 30)), d)
     V = ie.random_orthonormal_basis(d, draw(st.integers(1, d)), seed=0).V
     lam = random_simplex_point(rng, X.n)
+    if draw(st.booleans()):  # zero weights scattered over the blocks
+        keep = rng.random(X.n) < 0.5
+        keep[rng.integers(X.n)] = True
+        lam = np.where(keep, lam, 0.0) / lam[keep].sum()
     return X, V, draw(st.floats(1e-3, 700.0)), lam, draw(st.integers(1, 40))
 
 
@@ -796,10 +806,9 @@ def test_the_blockwise_entropic_step_is_bitwise_the_dense_one(case):
         got, M = lam.copy(), np.zeros((X.d, X.d))
         worst = ascent._blockwise_worst(X._sq_proj_blocks(V, got, M), got, eta)
         assert worst == ie.primal_distortion(X, V)
-        # The walk's moment is that of the weights it stepped.
-        want_M = X.moment(got) / got.sum()
-        M /= got.sum()
-        assert np.abs(M - want_M).max() <= 1e-12 * np.abs(want_M).max()
+        # The walk's moment is the set's moment of the weights it stepped,
+        # bit for bit, zero weights or not.
+        assert M.tobytes() == X.moment(got).tobytes()
         got /= got.sum()
         assert got.tobytes() == want.tobytes()
 

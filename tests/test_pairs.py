@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 import isoembed as ie
 from isoembed import pairs as pairs_module
 from isoembed.pairs import KAPPA_LIMIT
-from isoembed.types import row_moment, row_sq_proj
+
+
+def dense_sq_proj(X, V):
+    """||V'x_i||^2 of the dense rows, in one product."""
+    return np.square(X @ V).sum(axis=1)
+
+
+def dense_moment(X, w):
+    """sum_i w_i x_i x_i' of the dense rows, in one contraction."""
+    return np.einsum("i,ij,ik->jk", w, X, X)
 
 
 def _points(rng, kind, r, d):
@@ -47,11 +56,11 @@ def test_projections_and_moment_match_the_dense_rows(kind):
         X = pairs.X
         assert X.shape == (pairs.n, d)
         V = np.linalg.qr(rng.standard_normal((d, int(rng.integers(1, d + 1)))))[0]
-        assert np.abs(pairs.sq_proj(V) - row_sq_proj(X, V)).max() <= 1e-12
+        assert np.abs(pairs.sq_proj(V) - dense_sq_proj(X, V)).max() <= 1e-12
         w = rng.random(pairs.n) * (rng.random(pairs.n) < 0.3)  # mixed support
         M = pairs.moment(w)
         assert np.array_equal(M, M.T)
-        assert np.abs(M - row_moment(X, w)).max() <= 1e-12 * w.sum()
+        assert np.abs(M - dense_moment(X, w)).max() <= 1e-12 * w.sum()
         # Every index, so also the first and last pair of each point.
         assert pairs.rows(np.arange(pairs.n)).tobytes() == X.tobytes()
         assert pairs.fingerprint() == ie.matrix_fingerprint(X)
@@ -92,7 +101,7 @@ def test_projections_of_pairs_just_under_the_kappa_limit_match_the_dense_rows():
         kappa = np.maximum(reach[i], reach[j]) / np.sqrt(pairs._sq)  # 0 on the exact route
         assert 25.0 < kappa.max() < KAPPA_LIMIT
         V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-        assert np.abs(pairs.sq_proj(V) - row_sq_proj(pairs.X, V)).max() <= 1e-12
+        assert np.abs(pairs.sq_proj(V) - dense_sq_proj(pairs.X, V)).max() <= 1e-12
 
 
 def test_a_pair_orthogonal_to_the_basis_projects_to_zero_up_to_roundoff():
@@ -123,7 +132,7 @@ def test_close_pairs_take_the_exact_route():
     pairs = ie.pairwise_unit_differences(ie.PointSet(P))
     row = 11 + 10 + 2  # pair (3, 6), 1-based, in row-major order
     assert pairs._labels.tolist() == [row]
-    assert pairs._exact.tobytes() == pairs.X[[row]].tobytes()
+    assert pairs._exact.X.tobytes() == pairs.X[[row]].tobytes()
     assert np.flatnonzero(np.isinf(pairs._sq)).tolist() == [row]  # no Laplacian weight
 
 
@@ -312,11 +321,11 @@ def test_row_blocks_match_the_dense_rows(monkeypatch, height):
     X = pairs.X
     for k in (1, 3):
         V = np.linalg.qr(rng.standard_normal((4, k)))[0]
-        assert np.abs(pairs.sq_proj(V) - row_sq_proj(X, V)).max() <= 1e-12
+        assert np.abs(pairs.sq_proj(V) - dense_sq_proj(X, V)).max() <= 1e-12
     for w in (rng.random(pairs.n), np.broadcast_to(1.0 / pairs.n, pairs.n)):
         M = pairs.moment(w)
         assert np.array_equal(M, M.T)
-        assert np.abs(M - row_moment(X, w)).max() <= 1e-12 * w.sum()
+        assert np.abs(M - dense_moment(X, w)).max() <= 1e-12 * w.sum()
 
 
 @pytest.mark.parametrize("dedup", [False, True])

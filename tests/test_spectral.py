@@ -58,20 +58,23 @@ def test_moment_matrix_at_full_support_is_bitwise_the_all_rows_product():
         assert np.array_equal(ie.weighted_moment_matrix(X, w), A.T @ A)
 
 
-def test_moment_matrix_reads_only_rows_of_positive_weight():
+def test_moment_matrix_with_zero_weights_is_the_dense_sum():
     rng = np.random.default_rng(27)
-    X = unit_rows(rng, 400, 6).X.copy()
+    X = unit_rows(rng, 400, 6).X
     w = random_simplex_point(rng, 400)
     w[rng.random(400) < 0.8] = 0.0
     w[:3] = [0.0, -0.0, 0.0]
     w /= w.sum()
-    keep = w > 0.0
     M = ie.weighted_moment_matrix(X, w)
-    assert np.array_equal(M, ie.weighted_moment_matrix(X[keep], w[keep]))
     assert np.abs(M - np.einsum("i,ij,ik->jk", w, X, X)).max() <= 1e-14
-    # a zero-weight row is never read, so even a raw NaN row there leaves M alone
+    # Every row is read, so a raw NaN row of weight 0 turns M into NaN,
+    # which top_k_eigenpairs refuses.
+    X = X.copy()
     X[:3] = np.nan
-    assert np.array_equal(ie.weighted_moment_matrix(X, w), M)
+    M = ie.weighted_moment_matrix(X, w)
+    assert np.isnan(M).all()
+    with pytest.raises(ie.ContractError, match="non-finite"):
+        ie.top_k_eigenpairs(M, 1)
 
 
 def test_moment_matrix_of_all_zero_weights_is_zero():
@@ -80,26 +83,10 @@ def test_moment_matrix_of_all_zero_weights_is_zero():
     assert M.shape == (4, 4) and np.array_equal(M, np.zeros((4, 4)))
 
 
-def test_moment_matrix_memory_follows_the_support():
-    rng = np.random.default_rng(29)
-    n, d = 20000, 20
-    X = unit_rows(rng, n, d)
-    w = np.zeros(n)
-    w[rng.choice(n, n // 10, replace=False)] = 1.0 / (n // 10)
-    tracemalloc.start()
-    try:
-        ie.weighted_moment_matrix(X, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # A built from every row would peak near 1.07x the input; the support needs about 0.13x
-    assert peak <= 0.25 * 8 * n * d
-
-
 @pytest.mark.parametrize("height", [1, 3])
 def test_row_blocks_sum_in_order(monkeypatch, height):
-    # 8 kept rows of 40: one-row blocks, or blocks of three with a last
-    # block of two rows.
+    # 40 rows, 8 of positive weight: one-row blocks, or blocks of three
+    # with a last block of one row. A zero-weight row adds exactly 0.
     rng = np.random.default_rng(30)
     n, d = 40, 5
     monkeypatch.setattr(types_module, "_ROW_BLOCK_ENTRIES", height * d)
@@ -109,17 +96,15 @@ def test_row_blocks_sum_in_order(monkeypatch, height):
     w[keep] = random_simplex_point(rng, 8)
     M = ie.weighted_moment_matrix(X, w)
     products = []
-    for a in range(0, keep.size, height):
-        i = keep[a : a + height]
-        A = X[i] * np.sqrt(w[i])[:, None]
+    for a in range(0, n, height):
+        A = X[a : a + height] * np.sqrt(w[a : a + height])[:, None]
         products.append(A.T @ A)
     expected = products[0]
     for P in products[1:]:
         expected = expected + P
-    assert len(products) == {1: 8, 3: 3}[height] and np.array_equal(M, expected)
+    assert len(products) == {1: 40, 3: 14}[height] and np.array_equal(M, expected)
     assert np.array_equal(M, M.T)
     assert np.abs(M - np.einsum("i,ij,ik->jk", w, X, X)).max() <= 1e-14
-    assert np.array_equal(M, ie.weighted_moment_matrix(X[keep], w[keep]))
     assert np.array_equal(ie.weighted_moment_matrix(X, np.zeros(n)), np.zeros((d, d)))
 
 
@@ -136,9 +121,8 @@ def test_moment_matrix_memory_is_one_block_at_full_support():
     finally:
         tracemalloc.stop()
     # One product of every row peaks at 1.11x the input. Blocks peak
-    # at 0.195x: one block of 2 MB, the 0.8 MB index of the kept rows and
-    # their mask.
-    assert peak <= 0.25 * X.X.nbytes
+    # at 0.142x: one block of 2 MB and the square roots of its weights.
+    assert peak <= 0.16 * X.X.nbytes
 
 
 @pytest.mark.parametrize("height", [1, 3])
@@ -147,9 +131,10 @@ def test_row_sq_proj_writes_each_block_in_place(monkeypatch, height):
     rng = np.random.default_rng(32)
     n, d = 40, 5
     monkeypatch.setattr(types_module, "_ROW_BLOCK_ENTRIES", height * d)
-    X = unit_rows(rng, n, d).X
+    U = unit_rows(rng, n, d)
+    X = U.X
     V = ie.random_orthonormal_basis(d, 2, seed=3).V
-    s = types_module.row_sq_proj(X, V)
+    s = U.sq_proj(V)
     blocks = [X[a : a + height] @ V for a in range(0, n, height)]
     assert s.tobytes() == np.concatenate([np.einsum("ij,ij->i", Y, Y) for Y in blocks]).tobytes()
     assert np.abs(s - np.square(X @ V).sum(axis=1)).max() <= 1e-15
