@@ -44,6 +44,12 @@ def _peak_rss_clause() -> str:
     return ", peak RSS %.1f MB" % (rss / (2**20 if sys.platform == "darwin" else 2**10))
 
 
+def _log_stage(stage: str, t_start: float) -> None:
+    """One INFO line at the end of a stage: the seconds since t_start and
+    the process's peak RSS so far, which says which stage set the peak."""
+    logger.info("%s at %.3f s%s", stage, time.perf_counter() - t_start, _peak_rss_clause())
+
+
 def _json_scalar(value):
     if value is None:
         return "null"
@@ -229,7 +235,9 @@ def run_cli(argv=None) -> int:
             parser.error(f"--k {args.k} exceeds the data dimension {points.d}")
         units = _build_units(args, points)
         del points  # in rows mode units holds their array
+        _log_stage("directions built", t_start)
         result = run_projected_ascent(units, args.k, cfg)
+        _log_stage("ascent done", t_start)
         bounds = approximation_bound(units, rank_tol=args.rank_tol)
         baselines = {}
         if "pca" in methods:
@@ -238,6 +246,7 @@ def run_cli(argv=None) -> int:
             baselines["random"] = primal_distortion(
                 units, random_orthonormal_basis(units.d, args.k, args.seed)
             )
+        _log_stage("bounds and baselines done", t_start)
         duality_sandwich_check(result)
         emit_report(
             result,

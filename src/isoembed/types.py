@@ -10,7 +10,6 @@ a later write), so a caller that keeps writing should pass ``X.copy()``.
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,6 +75,11 @@ def blocks_fingerprint(shape, blocks) -> str:
     """matrix_fingerprint of the matrix of the given shape whose rows are
     the rows of ``blocks`` (C-contiguous float64 arrays), in order. Each
     block is hashed as it comes, so the matrix never exists whole."""
+    # Imported here, not at the top: hashlib maps OpenSSL's libcrypto, about
+    # 3.3 MB resident, and the first hash comes after the solve, so a
+    # top-level import would hold it under the solve's peak.
+    import hashlib
+
     h = hashlib.sha256()
     h.update(("%dx%d;" % tuple(shape)).encode())
     for b in blocks:

@@ -328,10 +328,13 @@ def test_points_whose_column_sums_overflow_embed(tmp_path, caplog):
     assert "read 3 x 2 points in " in caplog.text
 
 
+_STAGES = ("directions built", "ascent done", "bounds and baselines done")
+
+
 def test_closing_line_states_time_and_peak_rss(tmp_path, small_input, caplog, monkeypatch):
     out, trace = tmp_path / "r.json", tmp_path / "t.csv"
-    argv = ["--input", str(small_input), "--k", "2", "--iters", "5", "--out", str(out),
-            "--trace", str(trace)]
+    argv = ["--input", str(small_input), "--k", "2", "--iters", "5", "--baselines",
+            "pca,random", "--out", str(out), "--trace", str(trace)]
     with caplog.at_level("INFO"):
         assert run_cli(argv) == 0
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("finished")]
@@ -339,14 +342,62 @@ def test_closing_line_states_time_and_peak_rss(tmp_path, small_input, caplog, mo
     m = re.fullmatch(r"finished in (\d+\.\d{3}) s, peak RSS (\d+\.\d) MB", lines[0])
     assert m, lines[0]
     assert 1.0 <= float(m.group(2)) <= 1e5  # in MB, not KiB or bytes
-    # Without the resource module the clause is left out.
+    # One line per stage, in order, each before the closing line: the peak
+    # so far never falls, and none exceeds the closing line's.
+    messages = [r.getMessage() for r in caplog.records]
+    closing = messages.index(lines[0])
+    seconds, peaks, at = [], [], -1
+    for stage in _STAGES:
+        found = [i for i, msg in enumerate(messages) if msg.startswith(stage + " at ")]
+        assert len(found) == 1 and at < found[0] < closing, (stage, messages)
+        at = found[0]
+        s = re.fullmatch(re.escape(stage) + r" at (\d+\.\d{3}) s, peak RSS (\d+\.\d) MB",
+                         messages[at])
+        assert s, messages[at]
+        seconds.append(float(s.group(1)))
+        peaks.append(float(s.group(2)))
+    assert seconds == sorted(seconds) and max(seconds) <= float(m.group(1))
+    assert peaks == sorted(peaks) and max(peaks) <= float(m.group(2))
+    # Without the resource module the clause is left out, and the files are
+    # the same bytes.
     blobs = out.read_bytes(), trace.read_bytes()
     caplog.clear()
     monkeypatch.setattr(cli, "resource", None)
     with caplog.at_level("INFO"):
         assert run_cli(argv) == 0
-    assert any(re.fullmatch(r"finished in \d+\.\d{3} s", r.getMessage()) for r in caplog.records)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(re.fullmatch(r"finished in \d+\.\d{3} s", msg) for msg in messages)
+    for stage in _STAGES:
+        pattern = re.escape(stage) + r" at \d+\.\d{3} s"
+        assert sum(bool(re.fullmatch(pattern, msg)) for msg in messages) == 1, messages
     assert (out.read_bytes(), trace.read_bytes()) == blobs
+
+
+def test_import_maps_no_openssl_until_the_first_fingerprint():
+    # hashlib maps OpenSSL's libcrypto (about 3.3 MB), so isoembed imports
+    # it at the first hash, after the solve. numpy 1.x imports numpy.random,
+    # and with it OpenSSL, by itself: import isoembed must add nothing to
+    # what import numpy leaves.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "before = '_hashlib' in sys.modules\n"
+        "import isoembed, isoembed.cli\n"
+        "imported = '_hashlib' in sys.modules\n"
+        "isoembed.matrix_fingerprint(np.eye(2))\n"
+        "print(before, imported, '_hashlib' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, imported, hashed = proc.stdout.split()
+    assert imported == before
+    assert hashed == "True"
 
 
 def test_header_flag_skips_first_line(tmp_path):
