@@ -167,27 +167,30 @@ def primal_distortion(X, V) -> WorstDistortion:
         V = OrthonormalBasis(np.array(V, dtype=np.float64))
     if V.d != X.d:
         raise ShapeError(f"basis has shape {V.V.shape}, expected ({X.d}, k)")
-    return _blockwise_worst(X._sq_proj_blocks(V.V))
+    return _blockwise_worst(X, V.V)
 
 
-def _blockwise_worst(blocks, lam=None, eta=0.0) -> WorstDistortion:
-    """The worst distortion over the blocks (a, s[a:b]) of squared
-    projections, as primal_distortion takes it. Given lam, each block then
-    takes the entropic step over s (_entropic_step)."""
+def _blockwise_worst(X, V, lam=None, eta=0.0, M=None) -> WorstDistortion:
+    """The worst distortion of the basis V over the blocks of the walk of
+    X, as primal_distortion takes it, its argmax in the packed order. Given
+    lam, in the walk's layout, each block then takes the entropic step over
+    s (_entropic_step), and given M the walk adds the stepped weights'
+    moment into it. A pad has s = 1, so it is never the worst."""
     worst = WorstDistortion(0.0, 0)
-    for a, s in blocks:
-        block = _worst_distortion(s)
-        if block.epsilon > worst.epsilon:
+    for a, s in X._sq_proj_blocks(V, lam, M):
+        if 1.0 - float(s.min()) > worst.epsilon:  # else the block cannot be worse
+            block = _worst_distortion(s)
             worst = WorstDistortion(block.epsilon, int(a) + block.argmax)
         if lam is not None:
             _entropic_step(lam[a : a + s.size], s, eta)
-    return worst
+    return WorstDistortion(worst.epsilon, X._packed_index(worst.argmax))
 
 
 def _entropic_step(lam, s, eta):
-    """lam *= exp(-eta * clip(s, 0, 1)), written over s: bit for bit the
-    dense update, block by block. The caller divides lam by its sum."""
-    c = np.clip(s, 0.0, 1.0, out=s)
+    """lam *= exp(-eta * min(s, 1)) for s >= 0, written over s: bit for
+    bit the dense update, block by block. The caller divides lam by its
+    sum."""
+    c = np.minimum(s, 1.0, out=s)
     c *= -eta
     lam *= np.exp(c, out=c)
 
@@ -283,7 +286,7 @@ def _evaluate(X, M, k):
 def _score(X, state):
     """The iterate of the eigenpairs state, its basis scored block by
     block."""
-    return _iterate(state, _blockwise_worst(X._sq_proj_blocks(state.basis.V)))
+    return _iterate(state, _blockwise_worst(X, state.basis.V))
 
 
 def _entropic_pass(X, state, lam, eta, moment=True):
@@ -293,7 +296,7 @@ def _entropic_pass(X, state, lam, eta, moment=True):
     lam and the moment are then divided by the weights' sum: the iterate
     and the next weights' moment (None unless moment)."""
     M = np.zeros((X.d, X.d)) if moment else None
-    worst = _blockwise_worst(X._sq_proj_blocks(state.basis.V, lam, M), lam, eta)
+    worst = _blockwise_worst(X, state.basis.V, lam, eta, M)
     total = lam.sum()
     lam /= total
     if moment:
@@ -394,10 +397,12 @@ def _entropic_steps(X, k, T, eta):
     uniform weights. Returns as _projected_steps does, but the function
     forms the weights again (_replayed_lambda).
 
-    The loop holds one length-n vector, lam. Each pass over the blocks of
-    s steps lam_t to lam_{t+1} in place and sums M(lam_{t+1}) in the same
-    walk (_entropic_pass). M is linear in lam, so the average's moment is
-    the mean of the steps' moments, and no sum of the weights is kept.
+    The loop holds one length-n vector, lam, in the walk's layout
+    (DirectionSet): a pair set pads it by at most about 1/16. Each pass
+    over the blocks of s steps lam_t to lam_{t+1} in place and sums
+    M(lam_{t+1}) in the same walk (_entropic_pass). M is linear in lam, so
+    the average's moment is the mean of the steps' moments, and no sum of
+    the weights is kept.
     """
     n = X.n
     M = uniform_moment_matrix(X)
@@ -412,8 +417,8 @@ def _entropic_steps(X, k, T, eta):
     # mapped afresh at every step (24,900 minor faults in place of 640 on
     # the perfbench pairwise-solve input), and lam stays mapped, so it
     # returns its pages when it is freed.
-    np.empty(max(n - 512, 0))
-    lam = np.full(n, 1.0 / n)
+    np.empty(max(X._layout_size - 512, 0))
+    lam = X._to_layout(np.broadcast_to(1.0 / n, n))
     M_sum = np.zeros((X.d, X.d))
     trace = []
     for t in range(T + 1):
@@ -443,15 +448,16 @@ def _entropic_steps(X, k, T, eta):
 def _replayed_lambda(X, k, eta, t, average=False):
     """lam_t, formed again by re-running the first t passes of
     _entropic_steps from uniform weights, bit for bit the loop's; with
-    average, the mean of lam_1..lam_t."""
-    lam = np.full(X.n, 1.0 / X.n)
-    mean = np.zeros(X.n) if average else None
+    average, the mean of lam_1..lam_t. Packed, as a new vector."""
+    lam = X._to_layout(np.broadcast_to(1.0 / X.n, X.n))
+    mean = np.zeros(X._layout_size) if average else None
     M = uniform_moment_matrix(X)
     for step in range(1, t + 1):
         M = _entropic_pass(X, top_k_eigenpairs(M, k), lam, eta, moment=step < t)[1]
         if average:
             mean += lam
     if average:
+        del lam  # freed before the packed copy of the mean
         mean /= t
-        return mean
-    return lam
+        return X._from_layout(mean)
+    return X._from_layout(lam)

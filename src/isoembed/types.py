@@ -87,7 +87,7 @@ def blocks_fingerprint(shape, blocks) -> str:
     return h.hexdigest()
 
 
-def _row_sq_proj_blocks(Xm, V, w=None, M=None):
+def _row_sq_proj_blocks(Xm, V, w=None, M=None, packed=True):
     """The walk of the rows of Xm (DirectionSet._sq_proj_blocks), in blocks
     of h rows of at most _ROW_BLOCK_ENTRIES entries: unless V is None,
     (a, s[a:a + h]) with s_i = ||V'x_i||^2 the row sums of the squares of
@@ -95,7 +95,8 @@ def _row_sq_proj_blocks(Xm, V, w=None, M=None):
     over its rows, is then added into M, from the weights as the caller
     leaves them once it has read the block. numpy computes each A'A with
     BLAS syrk, which fills one triangle and mirrors it, so each term and
-    their sum are exactly symmetric. A walk's working set is one block."""
+    their sum are exactly symmetric. A walk's working set is one block.
+    The rows' layout is the packed one, so ``packed`` changes nothing."""
     h = max(1, _ROW_BLOCK_ENTRIES // Xm.shape[1])
     for a in range(0, Xm.shape[0], h):
         if V is not None:
@@ -110,10 +111,10 @@ def _row_sq_proj_blocks(Xm, V, w=None, M=None):
 
 
 def _walked_moment(walk, d, w) -> np.ndarray:
-    """M(w) as a new d x d array, summed into zeros by walk, a
-    _sq_proj_blocks given no V."""
+    """M(w) for packed weights w, as a new d x d array, summed into zeros
+    by walk, a _sq_proj_blocks given no V."""
     M = np.zeros((d, d))
-    for _ in walk(None, w, M):
+    for _ in walk(None, w, M, True):
         pass  # a walk given no V yields no block
     return M
 
@@ -216,6 +217,13 @@ class DirectionSet(ABC):
     points whose normalised differences they are. The methods check
     nothing: callers check their arguments once, at the API boundary.
 
+    The walk reads and steps weights, and yields its blocks of s, in its
+    own layout: a vector of ``_layout_size`` entries, in which the entries
+    of the n directions keep their order and any other entry, a pad, holds
+    weight 0 and has s = 1. ``_to_layout``, ``_from_layout``,
+    ``_packed_index`` and ``_packed_blocks`` convert to and from the packed
+    order of the n directions; for rows the layout is the packed one.
+
     The directions cannot change, so this class computes two values on
     first use and keeps them: the fingerprint, hashed from the blocks of
     ``_unit_blocks()``, and M(uniform), which
@@ -236,27 +244,50 @@ class DirectionSet(ABC):
         C-contiguous float64 blocks."""
 
     @abstractmethod
-    def _sq_proj_blocks(self, V, w=None, M=None):
+    def _sq_proj_blocks(self, V, w=None, M=None, packed=False):
         """The set's one kernel, a walk over consecutive blocks of its
-        directions. Unless V, a d x k array, is None, it yields (a, s[a:b])
-        for each block of s_i = ||V'x_i||^2, a vector the caller may
-        overwrite. Given a nonnegative length-n float64 vector w, which may
-        be a read-only or zero-stride view, and a d x d float64 array M, it
-        adds M(w) = sum_i w_i x_i x_i', exactly symmetric, into M, each
-        block's share summed once the caller has read the block: a caller
-        may step the block's weights in place, and M then gains the moment
-        of the stepped weights."""
+        layout. Unless V, a d x k array, is None, it yields (a, s[a:b])
+        for each block of s_i = ||V'x_i||^2 in the layout, a vector the
+        caller may overwrite, a its first entry. Given nonnegative float64
+        weights w in the layout, or under ``packed`` a length-n vector in
+        the packed order, which may be a read-only or zero-stride view,
+        and a d x d float64 array M, it adds M(w) = sum_i w_i x_i x_i',
+        exactly symmetric, into M, each block's share summed once the
+        caller has read the block: a caller may step the block's weights in
+        place, and M then gains the moment of the stepped weights."""
+
+    @property
+    def _layout_size(self) -> int:
+        return self.n
+
+    def _to_layout(self, w) -> np.ndarray:
+        """Packed weights w in the walk's layout, as a new vector."""
+        return np.array(w, dtype=np.float64)
+
+    def _from_layout(self, lam) -> np.ndarray:
+        """Weights lam in the walk's layout in the packed order: for rows,
+        lam itself."""
+        return lam
+
+    def _packed_index(self, i: int) -> int:
+        """The packed index of entry i of the layout, not a pad."""
+        return i
+
+    def _packed_blocks(self, blocks):
+        """The walk's blocks (a, s[a:b]), in order, as blocks of the packed
+        vector: for rows, the blocks themselves."""
+        return blocks
 
     def moment(self, w) -> np.ndarray:
-        """M(w) = sum_i w_i x_i x_i' for w as the walk takes it, as a new
-        d x d array: the walk's sum given no V."""
+        """M(w) = sum_i w_i x_i x_i' for packed w, as a new d x d array: the
+        walk's sum given no V."""
         return _walked_moment(self._sq_proj_blocks, self.d, w)
 
     def sq_proj(self, V) -> np.ndarray:
         """s_i = ||V'x_i||^2 for a d x k array V, as a new length-n float64
-        vector: the walk's blocks in place."""
+        vector in the packed order: the walk's blocks in place."""
         s = np.empty(self.n)
-        for a, block in self._sq_proj_blocks(V):
+        for a, block in self._packed_blocks(self._sq_proj_blocks(V)):
             s[a : a + block.size] = block
         return s
 
@@ -309,7 +340,7 @@ class UnitVectorSet(DirectionSet):
     def _unit_blocks(self):
         return (self.X,)
 
-    def _sq_proj_blocks(self, V, w=None, M=None):
+    def _sq_proj_blocks(self, V, w=None, M=None, packed=False):
         return _row_sq_proj_blocks(self.X, V, w, M)
 
 

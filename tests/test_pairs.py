@@ -2,6 +2,7 @@
 
 import tracemalloc
 import unittest
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isoembed as ie
+from isoembed import ascent
 from isoembed import pairs as pairs_module
 from isoembed.pairs import KAPPA_LIMIT
 
@@ -21,6 +23,15 @@ def dense_sq_proj(X, V):
 def dense_moment(X, w):
     """sum_i w_i x_i x_i' of the dense rows, in one contraction."""
     return np.einsum("i,ij,ik->jk", w, X, X)
+
+
+def walked_sq_lengths(pairs):
+    """The squared length D_ij the walk forms for each pair, packed: inf on
+    the exact route."""
+    D = np.empty(pairs.n)
+    for blk, block, _, _ in pairs._sq_blocks(pairs._walked_points()):
+        D[blk.start : blk.stop] = block[blk.T]
+    return D
 
 
 def _points(rng, kind, r, d):
@@ -86,9 +97,11 @@ def test_a_short_run_traces_as_on_the_dense_rows(kind):
 
 
 def test_projections_of_pairs_just_under_the_kappa_limit_match_the_dense_rows():
-    # Points on the unit sphere with partners 1/31 away: the Gram form of
-    # sq_proj loses about kappa^2 u, its worst case on the Laplacian route.
+    # Points on the unit sphere with partners 1/31 away: the Gram forms of
+    # sq_proj and of D lose about kappa^2 u, their worst case on the
+    # Laplacian route.
     rng = np.random.default_rng(24)
+    u = np.finfo(float).eps / 2
     for _ in range(10):
         A = rng.standard_normal((30, 5))
         A /= np.linalg.norm(A, axis=1)[:, None]
@@ -98,8 +111,15 @@ def test_projections_of_pairs_just_under_the_kappa_limit_match_the_dense_rows():
         pairs = ie.pairwise_unit_differences(ie.PointSet(P))
         reach = np.linalg.norm(P - P.mean(axis=0), axis=1)
         i, j = np.triu_indices(60, 1)
-        kappa = np.maximum(reach[i], reach[j]) / np.sqrt(pairs._sq)  # 0 on the exact route
-        assert 25.0 < kappa.max() < KAPPA_LIMIT
+        D = np.square(np.linalg.norm(P[i] - P[j], axis=1))
+        kappa = np.maximum(reach[i], reach[j]) / np.sqrt(D)
+        gram = np.ones(pairs.n, dtype=bool)
+        gram[pairs._labels] = False  # the Laplacian route
+        assert 25.0 < kappa[gram].max() < KAPPA_LIMIT and (kappa[~gram] > KAPPA_LIMIT).all()
+        # Each Gram entry sums d + 2 terms, each at most (|p_i| + |p_j|)^2 <= 4 kappa^2 D.
+        got = walked_sq_lengths(pairs)
+        assert (np.abs(got / D - 1.0)[gram] <= 4 * (5 + 2) * kappa[gram] ** 2 * u).all()
+        assert np.isinf(got[~gram]).all()
         V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
         assert np.abs(pairs.sq_proj(V) - dense_sq_proj(pairs.X, V)).max() <= 1e-12
 
@@ -133,7 +153,110 @@ def test_close_pairs_take_the_exact_route():
     row = 11 + 10 + 2  # pair (3, 6), 1-based, in row-major order
     assert pairs._labels.tolist() == [row]
     assert pairs._exact.X.tobytes() == pairs.X[[row]].tobytes()
-    assert np.flatnonzero(np.isinf(pairs._sq)).tolist() == [row]  # no Laplacian weight
+    assert np.flatnonzero(np.isinf(walked_sq_lengths(pairs))).tolist() == [row]  # no Laplacian weight
+
+
+def test_exact_route_pairs_step_through_the_walk_as_the_dense_rows(monkeypatch):
+    # CI's 12 points and a 13th 1e-9 from point 3: pair (3, 13) takes the
+    # exact route. Blocks of three rows, so the layout has pads.
+    monkeypatch.setattr(pairs_module, "_BLOCK_ENTRIES", 3 * 12)
+    monkeypatch.setattr(pairs_module, "_PAD_SHARE", 1)
+    rng = np.random.default_rng(0)
+    P = rng.standard_normal((12, 4))
+    P = np.vstack([P, P[2] + 1e-9 * rng.standard_normal(4)])
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
+    assert pairs._labels.tolist() == [12 + 11 + 9]  # pair (3, 13), 1-based
+    X = pairs.X
+    pads = pairs._to_layout(np.ones(pairs.n)) == 0.0
+    assert pads.any()
+    for k, eta in ((1, 0.5), (2, 3.0), (3, 40.0)):
+        V = np.linalg.qr(rng.standard_normal((4, k)))[0]
+        s = dense_sq_proj(X, V)
+        assert np.abs(pairs.sq_proj(V) - s).max() <= 1e-12
+        lam = rng.random(pairs.n)
+        lam /= lam.sum()
+        got, M = pairs._to_layout(lam), np.zeros((4, 4))
+        worst = ascent._blockwise_worst(pairs, V, got, eta, M)
+        assert (got[pads] == 0.0).all()
+        stepped = lam * np.exp(-eta * np.minimum(s, 1.0))
+        assert np.abs(pairs._from_layout(got) - stepped).max() <= 1e-12 * stepped.max()
+        assert np.abs(M - dense_moment(X, stepped)).max() <= 1e-12 * stepped.sum()
+        assert abs(worst.epsilon - (1.0 - s.min())) <= 1e-12
+        assert worst.argmax == ie.primal_distortion(ie.UnitVectorSet(X.copy()), V).argmax
+        assert np.abs(pairs.moment(lam) - dense_moment(X, lam)).max() <= 1e-12
+
+
+def test_the_walk_keeps_its_gram_products_in_the_float_range():
+    # 30 points in R^4 scaled to max |p| = 6e153 embed; at 6.6e153 a pair's
+    # squared distance overflows, and the build names it.
+    rng = np.random.default_rng(0)
+    P = rng.standard_normal((30, 4))
+    with pytest.raises(ie.ContractError, match="points 4 and 30 are too far apart"):
+        ie.pairwise_unit_differences(ie.PointSet(P * (6.6e153 / np.abs(P).max())))
+    # Points 29 and 30 lie 1.2e154 and 1.08e154 along e1 from a cloud at 0:
+    # their pair takes the Gram route (kappa about 10), where -2 p_29'p_30
+    # overflows unless the walk scales the centred points down.
+    lined = rng.standard_normal((30, 4))
+    lined[28], lined[29] = [1.2e154, 0, 0, 0], [1.08e154, 0, 0, 0]
+    for Q in (P * (6e153 / np.abs(P).max()), lined):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in any kernel
+            pairs = ie.pairwise_unit_differences(ie.PointSet(Q))
+            V = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+            s = pairs.sq_proj(V)
+            w = rng.random(pairs.n)
+            M = pairs.moment(w)
+            res = ie.run_projected_ascent(pairs, 2, ie.AscentConfig(T=5))
+        assert not np.isnan(s).any() and np.isfinite(M).all()
+        assert np.abs(s - dense_sq_proj(pairs.X, V)).max() <= 1e-12
+        assert np.abs(M - dense_moment(pairs.X, w)).max() <= 1e-12 * w.sum()
+        assert 0.0 <= res.best_dual_value <= res.distortion.epsilon <= 1.0
+    assert pairs._shift > 0 and pairs._labels.size < pairs.n  # the Gram route was taken
+
+
+def test_a_pair_set_holds_arrays_of_the_points_size_only():
+    # After a solve and its fingerprint, every array the set owns is of the
+    # points' size or the walk's template (at most _BLOCK_ENTRIES
+    # booleans); a length-n float vector would be 4 MB here.
+    rng = np.random.default_rng(28)
+    P = rng.standard_normal((1000, 8))
+    P[1] = P[0] + 1e-9 * rng.standard_normal(8)  # one exact-route pair
+    pairs = ie.pairwise_unit_differences(ie.PointSet(P))
+    ie.run_projected_ascent(pairs, 2, ie.AscentConfig(T=2))
+    pairs.fingerprint()
+
+    def owned(x):
+        if isinstance(x, np.ndarray):
+            return x.nbytes if x.base is None else 0
+        if isinstance(x, (list, tuple)):
+            return sum(map(owned, x))
+        if isinstance(x, (ie.PointSet, ie.UnitVectorSet)):
+            return owned(vars(x))
+        if isinstance(x, dict):
+            return sum(map(owned, x.values()))
+        return 0
+
+    held = owned(vars(pairs))
+    assert held <= 3 * P.nbytes + pairs_module._BLOCK_ENTRIES < 0.1 * 8 * pairs.n
+
+
+def test_a_drop_build_holds_no_length_n_array():
+    # Point 1000 repeats point 171: the first pass finds it, the second
+    # builds the set of the 999 points left. Neither holds an array of one
+    # value per pair; one length-n float vector is 4 MB here.
+    rng = np.random.default_rng(26)
+    P = rng.standard_normal((1000, 8))
+    P[999] = P[170]
+    points = ie.PointSet(P)
+    tracemalloc.start()
+    try:
+        pairs = ie.pairwise_unit_differences(points, dedup_policy="drop")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.n == 999 * 998 // 2
+    # A few copies of the points, 64 KB each, and numpy's 64 KB ufunc buffer.
+    assert peak <= 6 * P.nbytes < 0.1 * 8 * pairs.n
 
 
 def test_the_exact_route_ignores_where_the_cloud_sits():
@@ -157,16 +280,23 @@ def test_fingerprint_and_rows_are_those_of_the_dense_build():
     assert pairs.rows(idx).tobytes() == want[idx].tobytes()
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.floats(min_value=float(np.sqrt(np.finfo(float).tiny)), max_value=1.3e154))
-@example(float(np.sqrt(np.finfo(float).tiny)))
-@example(1.3e154)
-@example(1.0 - 2.0**-53)
-def test_a_stored_squared_length_gives_back_the_norm(x):
-    # The fingerprint divides each difference by sqrt(D_ij), D_ij = fl(x^2)
-    # for its np.linalg.norm x: every stored D_ij is normal and finite.
-    assume(np.finfo(float).tiny <= x * x < np.inf)
-    assert np.sqrt(np.square(x)) == x
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda d: st.lists(
+        st.lists(st.floats(-1e150, 1e150), min_size=d, max_size=d), min_size=1, max_size=6,
+    ))
+)
+@example([[1.3e154, 0.0], [0.0, float(np.sqrt(np.finfo(float).tiny))]])
+@example([[1.0 - 2.0**-53, 3.0, 5e-300]])
+def test_the_norms_are_bitwise_those_of_np_linalg_norm(rows):
+    # The build and the fingerprint take each difference's norm with the
+    # squares over a buffer, or over the differences themselves.
+    x = np.array(rows)
+    want = np.linalg.norm(x, axis=1)
+    buf = np.full(x.size + 3, np.nan)
+    assert pairs_module._norms(x, buf).tobytes() == want.tobytes()
+    y = x.copy()
+    assert pairs_module._norms(y, y).tobytes() == want.tobytes()
 
 
 def test_exact_route_rows_are_those_of_the_dense_build():
@@ -309,6 +439,7 @@ def test_row_blocks_match_the_dense_rows(monkeypatch, height):
     # with a last block of one row.
     r = 17
     monkeypatch.setattr(pairs_module, "_BLOCK_ENTRIES", height * (r - 1))
+    monkeypatch.setattr(pairs_module, "_PAD_SHARE", 1)
     rng = np.random.default_rng(25)
     P = rng.standard_normal((r, 4))
     # Exact-route pairs (3, 4) and (12, 13), 1-based: in blocks 0 and 3 of
@@ -368,8 +499,11 @@ def test_memory_per_pair():
     finally:
         tracemalloc.stop()
     assert res.fingerprint == pairs.fingerprint()
-    assert build_peak <= 32 * n  # the dense build needs 8 d = 320 B/pair
-    # The run peaks at 43.1 B/pair: the pair set's 8 B/pair, the loop's one
-    # length-n vector and a block of the kernels, 11.7 B/pair at this n.
-    # The bound leaves no room for another length-n float vector.
-    assert run_peak <= 50 * n
+    # The build holds no length-n array: it peaks at 6.0 B/pair, a few
+    # copies of the points, where the dense build needs 8 d = 320 B/pair.
+    assert build_peak < 8 * n
+    # The run peaks at 22.9 B/pair: the loop's one length-n vector in the
+    # walk's layout (8.5 B/pair, padded by 6%) and the walk's blocks and
+    # r x (d + 2) Gram factors. The bound leaves no room for another
+    # length-n float vector.
+    assert run_peak <= 24 * n
